@@ -14,11 +14,14 @@ Runnable directly as a wall-time regression guard::
     python benchmarks/bench_flow_stages.py --smoke            # check
     python benchmarks/bench_flow_stages.py --smoke --record   # rebaseline
 
-``--smoke`` times one cold (design, arch) cell and one cold stage-graph
-matrix against the recorded baseline in ``benchmarks/perf_baseline.json``
-and exits nonzero when any guarded time regresses more than 2x — a
-coarse tripwire for accidentally disabling the persistent realization
-tables, the array cost engine, or the stage-graph scheduler.  Every
+``--smoke`` times one cold (design, arch) cell, one cold stage-graph
+matrix and the synthesis front end of the fpu cell against the recorded
+baseline in ``benchmarks/perf_baseline.json`` and exits nonzero when any
+guarded time regresses more than 2x — a coarse tripwire for accidentally
+disabling the persistent realization tables, the array cost engine, the
+stage-graph scheduler, or the linear-time synthesis kernels (AIG
+balancing and the FlowMap max-flow, whose quadratic forms only show on
+a design as large as fpu/granular at scale 0.5).  Every
 guarded timing is a **best-of-3**: the minimum is compared against the
 budget (the minimum of repeated runs estimates true cost; the max-min
 spread is reported so noisy-runner variance is visible instead of
@@ -47,7 +50,7 @@ from repro.cells.characterize import characterize_library
 from repro.cells.library import granular_plb_library
 from repro.core.plb import granular_plb
 from repro.flow.experiments import build_design
-from repro.flow.flow import STAGES, run_design
+from repro.flow.flow import STAGES, run_design, synthesize
 from repro.flow.options import FlowOptions
 from repro.flow.parallel import run_cells
 from repro.pack.iterative import run_packing_loop
@@ -311,6 +314,8 @@ SMOKE_CELL = ("alu", "granular")
 SMOKE_SCALE = 0.3
 SMOKE_MATRIX_SCALE = 0.25
 SMOKE_MATRIX_JOBS = 4
+SMOKE_SYNTH_CELL = ("fpu", "granular")
+SMOKE_SYNTH_SCALE = 0.5
 SMOKE_REPEATS = 3
 SMOKE_MAX_REGRESSION = 2.0
 KERNEL_MOVES = 20000
@@ -379,6 +384,25 @@ def _time_smoke_matrix(chrome_path: str = None) -> float:
         )
         print(f"scheduler chrome trace written to {chrome_path}")
     return elapsed
+
+
+def _time_smoke_synthesis() -> float:
+    """Wall time of ``synthesize`` (extract, optimize, map, compaction).
+
+    The realization tables come from the in-process memo or a throwaway
+    cache dir, so the first sample may pay their derivation; best-of-3
+    keeps only kernel cost.
+    """
+    from dataclasses import replace
+
+    design, arch = SMOKE_SYNTH_CELL
+    netlist = build_design(design, scale=SMOKE_SYNTH_SCALE)
+    options = replace(PERF_OPTIONS, arch=arch)
+    with tempfile.TemporaryDirectory() as cache_dir:
+        os.environ["REPRO_CACHE_DIR"] = cache_dir
+        start = time.perf_counter()
+        synthesize(netlist, options)
+        return time.perf_counter() - start
 
 
 def _kernel_throughput() -> dict:
@@ -462,6 +486,11 @@ def run_smoke(record: bool, json_path: str = None,
           f"{SMOKE_MATRIX_SCALE}, jobs {SMOKE_MATRIX_JOBS}, best of "
           f"{SMOKE_REPEATS}): {matrix_seconds:.2f} s "
           f"(spread {matrix_spread:.2f} s)")
+    synth_samples = [_time_smoke_synthesis() for _ in range(SMOKE_REPEATS)]
+    synthesis_seconds, synthesis_spread = _best_and_spread(synth_samples)
+    print(f"{'/'.join(SMOKE_SYNTH_CELL)} synthesis (scale {SMOKE_SYNTH_SCALE}, "
+          f"best of {SMOKE_REPEATS}): {synthesis_seconds:.2f} s "
+          f"(spread {synthesis_spread:.2f} s)")
     kernel = _kernel_throughput()
     for engine, stats in kernel.items():
         print(f"{engine} kernel: {stats['moves_per_s']:,.0f} moves/s "
@@ -488,6 +517,11 @@ def run_smoke(record: bool, json_path: str = None,
             "matrix_cells": len(PERF_CELLS),
             "matrix_scale": SMOKE_MATRIX_SCALE,
             "matrix_jobs": SMOKE_MATRIX_JOBS,
+            "synthesis_seconds": round(synthesis_seconds, 3),
+            "synthesis_seconds_spread": round(synthesis_spread, 3),
+            "synthesis_seconds_samples": [round(s, 3) for s in synth_samples],
+            "synthesis_cell": "/".join(SMOKE_SYNTH_CELL),
+            "synthesis_scale": SMOKE_SYNTH_SCALE,
             "placement": best["placement"],
             "kernel_moves_per_s": {
                 engine: round(stats["moves_per_s"], 1)
@@ -503,6 +537,7 @@ def run_smoke(record: bool, json_path: str = None,
             "seconds": round(elapsed, 3),
             "physical_seconds": round(physical, 3),
             "matrix_seconds": round(matrix_seconds, 3),
+            "synthesis_seconds": round(synthesis_seconds, 3),
         }, indent=2) + "\n")
         print(f"baseline recorded to {BASELINE_PATH}")
         return 0
@@ -532,6 +567,8 @@ def run_smoke(record: bool, json_path: str = None,
           baseline.get("physical_seconds"))
     guard("stage-graph matrix_seconds", matrix_seconds,
           baseline.get("matrix_seconds"))
+    guard("fpu synthesis_seconds", synthesis_seconds,
+          baseline.get("synthesis_seconds"))
     if failed:
         return 1
     print("OK: within budget")

@@ -55,6 +55,7 @@ def balance(aig: AIG) -> AIG:
     for name in aig.input_names:
         mapping[len(mapping)] = lit_node(fresh.add_input(name))
     new_lit_of: Dict[int, int] = {}
+    level = _LevelMemo(fresh)
 
     def tree_leaves(literal: int, is_root: bool) -> List[int]:
         """Leaf literals of the maximal AND tree rooted at ``literal``."""
@@ -76,10 +77,7 @@ def balance(aig: AIG) -> AIG:
             base = 2 * mapping[node]
         else:
             leaves = tree_leaves(2 * node, True)
-            new_leaves = sorted(
-                (rebuild(leaf) for leaf in leaves),
-                key=lambda lit_: _depth_of(fresh, lit_),
-            )
+            new_leaves = sorted((rebuild(leaf) for leaf in leaves), key=level)
             base = fresh.and_many(new_leaves)
             new_lit_of[node] = base
         return base ^ (literal & 1)
@@ -89,24 +87,28 @@ def balance(aig: AIG) -> AIG:
     return fresh
 
 
-def _depth_of(aig: AIG, literal: int) -> int:
-    # Cheap per-call depth: walk down memoized via levels() would be O(n)
-    # per call; instead compute once per rebuild batch.
-    node = lit_node(literal)
-    depth = 0
-    stack = [(node, 0)]
-    seen: Dict[int, int] = {}
-    while stack:
-        current, d = stack.pop()
-        if current in seen and seen[current] >= d:
-            continue
-        seen[current] = d
-        depth = max(depth, d)
-        if aig.is_and(current):
-            f0, f1 = aig.fanins(current)
-            stack.append((lit_node(f0), d + 1))
-            stack.append((lit_node(f1), d + 1))
-    return depth
+class _LevelMemo:
+    """Logic level of each literal's node in an AIG under construction.
+
+    A built node never changes, so ``level(n) = 1 + max(level(fanins))``
+    is computed once per node, on first demand, in id order (fanins
+    always have smaller ids).  Inputs and the constant are level 0.
+    """
+
+    def __init__(self, aig: AIG):
+        self.aig = aig
+        self.levels: List[int] = [0] * (aig.n_inputs + 1)
+
+    def __call__(self, literal: int) -> int:
+        node = lit_node(literal)
+        levels = self.levels
+        if node >= len(levels):
+            fanin0, fanin1 = self.aig.fanin0, self.aig.fanin1
+            for new in range(len(levels), node + 1):
+                levels.append(
+                    1 + max(levels[fanin0[new] >> 1], levels[fanin1[new] >> 1])
+                )
+        return levels[node]
 
 
 def rewrite_cuts(aig: AIG, k: int = 3) -> AIG:
