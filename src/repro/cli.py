@@ -114,7 +114,6 @@ def _cmd_flow(args: argparse.Namespace, reporter: Reporter) -> int:
         jobs=args.jobs, schedule=args.schedule,
         use_cache=not args.no_cache,
         observe=args.trace, check=args.check,
-        sa_engine=args.sa_engine,
     )
     netlist = build_design(args.design, scale=args.scale)
     reporter.info(f"Running {args.design} (scale {args.scale}) on the "
@@ -644,10 +643,6 @@ def _add_flow_arguments(flow: argparse.ArgumentParser) -> None:
                       help="parallel decomposition: 'stage' pipelines "
                            "(cell, stage) tasks across workers, 'cell' "
                            "ships whole cells; results are bit-identical")
-    flow.add_argument("--sa-engine", choices=["array", "object"],
-                      default=None, dest="sa_engine",
-                      help="annealer cost engine (default: $REPRO_SA_ENGINE "
-                           "or 'array'; results are bit-identical)")
     flow.add_argument("--no-cache", action="store_true",
                       help="bypass the content-addressed stage cache")
     flow.add_argument("--trace", action="store_true",

@@ -344,7 +344,6 @@ def _run_physical(synthesis: SynthesisResult, options: FlowOptions) -> PhysicalR
         seed=options.seed,
         iterations=options.place_iterations,
         effort=options.place_effort,
-        engine=options.sa_engine,
         utilization=options.utilization,
     )
 

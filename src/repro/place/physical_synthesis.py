@@ -39,8 +39,8 @@ class PhysicalResult:
     timing: TimingReport
     buffers_added: int
     #: Aggregated annealer counters across placement iterations
-    #: (engine name, temperatures, moves proposed/evaluated/accepted).
-    #: Purely informational — never part of design metrics.
+    #: (temperatures, moves proposed/evaluated/accepted).  They never
+    #: steer the flow, but ``DesignRun.metrics()`` reports them.
     placement_stats: Dict[str, object] = field(default_factory=dict)
 
 
@@ -69,14 +69,9 @@ def run_physical_synthesis(
     locked: Optional[Mapping[str, Site]] = None,
     grid: Optional[PlacementGrid] = None,
     effort: float = 1.0,
-    engine: Optional[str] = None,
     utilization: float = DEFAULT_UTILIZATION,
 ) -> PhysicalResult:
     """Place-and-optimize loop; mutates ``netlist`` (buffer insertion).
-
-    ``engine`` picks the annealer cost engine (``None`` defers to
-    ``$REPRO_SA_ENGINE``, then ``"array"``); both engines produce
-    bit-identical placements, so it only affects wall time.
 
     ``utilization`` sizes the standard-cell site grid when no explicit
     ``grid`` is given (flow a die sizing); it changes placement and die
@@ -98,10 +93,11 @@ def run_physical_synthesis(
             seed=seed + iteration,
             locked=locked,
             effort=effort,
-            engine=engine,
         )
         placement = placer.place()
-        stats["engine"] = placer.engine_name
+        # "engine" names the cost state the annealer ran on; it is kept
+        # (constant) because DesignRun.metrics() digests placement_stats.
+        stats["engine"] = "array"
         for key in ("temperatures", "proposed", "evaluated", "accepted"):
             stats[key] += int(placer.stats.get(key, 0))  # type: ignore[operator]
         wires = wire_model_from_placement(placement.net_pin_points(netlist))

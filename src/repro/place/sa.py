@@ -6,41 +6,46 @@ range window; the schedule follows the classic VPR recipe (temperature
 from initial cost spread, cooling rate adapted to the acceptance ratio,
 exit when temperature is a tiny fraction of cost-per-net).
 
-Net cost is maintained *incrementally*, VPR-style: every net carries a
-cached bounding box with occupancy counts on each boundary.  A move
-updates only the nets touching the moved instance(s) in O(1) each — a
-full per-net recomputation happens only when the last point on a
-boundary moves off it (so the cached box is exact at all times, never an
-approximation), and all boxes are rebuilt at every temperature step to
-bound floating-point drift in the accumulated total.
+Net cost is maintained *incrementally* and *exactly*.  Every net keeps
+its pin x coordinates in one sorted list and its y coordinates in
+another, with multiplicity and with the net's pad as a fixed point.
+Relocating ``count`` copies of one point from ``old`` to ``new`` gives
+the exact new extent of an axis from the two end entries of its list::
 
-Two interchangeable *cost engines* implement that bookkeeping:
+    lo = X[count] if X[0] == old else X[0];   lo = min(lo, new)
+    hi = X[-1 - count] if X[-1] == old else X[-1];   hi = max(hi, new)
 
-* ``"array"`` (the default) — flat preallocated arrays of per-net
-  min/max/boundary-occupancy state and per-cell coordinates.  The
-  per-temperature exact rebuild is evaluated for all nets at once
-  (vectorized through numpy when available, a scalar loop over the
-  same flat layout otherwise), and moves are evaluated *speculatively*:
-  :meth:`_ArrayCostEngine.evaluate_move` computes the exact delta from
-  the boundary-count state without mutating anything, staging candidate
-  per-net states in a scratch buffer that :meth:`_ArrayCostEngine.commit`
-  installs only when the move is accepted.  Rejected moves (half of all
-  proposals over a typical anneal) cost nothing beyond the evaluation —
-  there is no apply/undo churn and no saved-state tuple per move.  The
-  move loop also inlines the fixed-range ``getrandbits`` rejection
-  sampling that ``random.Random.randrange``/``randint`` perform
-  internally, so proposals skip the per-call argument checking while
-  drawing the exact same bit stream.
-* ``"object"`` — the legacy per-net :class:`_NetBox` objects with the
-  original optimistic apply/undo move path; retained as the oracle the
-  fast engine is asserted against.
+(when the moved copies sit on a boundary they are its first ``count``
+entries).  A proposal is therefore evaluated in O(1) per touched net
+without mutating anything: the candidate per-net costs go to a scratch
+list, and only an accepted move installs them and updates the lists
+with ``list.remove`` plus ``bisect.insort`` (C-level, O(pins)), skipping
+an axis whose coordinate did not change.  Evaluation is fused into the
+sweep loop over integer-indexed state — site column/row lists per
+instance, a flat occupant list, a locked mask — so a move costs no
+method call and no dict lookup.  The total is re-summed left to right
+from the stored costs after every temperature, bounding drift in the
+running total.
 
-Both engines perform the identical sequence of float operations and RNG
-draws, so costs, acceptance decisions, final placements, and the RNG
-stream position are bit-identical (asserted by the test suite); select
-with ``AnnealingPlacer(engine=...)``, the ``REPRO_SA_ENGINE``
-environment variable, or ``FlowOptions(sa_engine=...)`` at the flow
-level.
+The placements are bit-identical to the reference apply/undo
+bounding-box implementation (kept in the test suite as the oracle)
+because five things are the same:
+
+1. Every stored cost is ``w * ((xmax - xmin) + (ymax - ymin))`` over the
+   *exact* box; any method that finds the exact extremes gives the same
+   double.
+2. A move's delta sums ``new - old`` per net in first-touch order: the
+   mover's nets in contribution order, then the partner's nets the mover
+   did not touch.
+3. The RNG draws are unchanged: ``randrange``/``randint`` reduce to
+   ``getrandbits`` rejection sampling, which the loop inlines (same bit
+   stream, no per-call argument checks), and ``random()`` is drawn only
+   when ``delta > 0``.
+4. A swap whose two cells share a net takes an exact scan of that net
+   with both candidate coordinates.
+5. A net whose points all belong to one instance has constant (zero)
+   cost, so it is left out of the contribution lists: adding ``+0.0``
+   never changes a delta, and a delta is never ``-0.0``.
 
 The placer is deterministic for a given seed — including across
 processes: per-move cost deltas are summed in a fixed net order derived
@@ -52,8 +57,8 @@ keep their PLB positions).
 
 from __future__ import annotations
 
+import bisect
 import math
-import os
 import random
 import time
 from dataclasses import dataclass
@@ -64,17 +69,9 @@ from ..obs import core as _obs
 from ..obs.metrics import RATIO_BUCKETS
 from .grid import PlacementGrid, Site
 
-try:  # vectorized rebuilds when numpy is around; pure-Python otherwise
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised via the fallback flag
-    _np = None
-
 #: Moves per temperature = MOVES_PER_CELL * n_cells ** 1.33, capped.
 MOVES_PER_CELL = 1.0
 MOVE_CAP_PER_TEMPERATURE = 40_000
-
-#: Environment override for the cost-engine choice ("array" | "object").
-ENGINE_ENV = "REPRO_SA_ENGINE"
 
 
 @dataclass
@@ -105,902 +102,6 @@ class Placement:
         return points
 
 
-def _net_bbox_cost(points: List[Tuple[float, float]], weight: float) -> float:
-    if len(points) < 2:
-        return 0.0
-    xs = [p[0] for p in points]
-    ys = [p[1] for p in points]
-    return weight * ((max(xs) - min(xs)) + (max(ys) - min(ys)))
-
-
-class _NetBox:
-    """Exact bounding box of a net's point multiset with boundary counts.
-
-    ``n_*`` counts how many points sit on each boundary; removing the
-    last boundary point invalidates the box (``remove`` returns False)
-    and the caller rebuilds it from scratch.  Everywhere else updates
-    are O(1).
-    """
-
-    __slots__ = ("xmin", "xmax", "ymin", "ymax",
-                 "n_xmin", "n_xmax", "n_ymin", "n_ymax")
-
-    def __init__(self, points: List[Tuple[float, float]]):
-        xs = [p[0] for p in points]
-        ys = [p[1] for p in points]
-        self.xmin = min(xs)
-        self.xmax = max(xs)
-        self.ymin = min(ys)
-        self.ymax = max(ys)
-        self.n_xmin = xs.count(self.xmin)
-        self.n_xmax = xs.count(self.xmax)
-        self.n_ymin = ys.count(self.ymin)
-        self.n_ymax = ys.count(self.ymax)
-
-    def half_perimeter(self) -> float:
-        return (self.xmax - self.xmin) + (self.ymax - self.ymin)
-
-    def add(self, x: float, y: float) -> None:
-        if x > self.xmax:
-            self.xmax, self.n_xmax = x, 1
-        elif x == self.xmax:
-            self.n_xmax += 1
-        if x < self.xmin:
-            self.xmin, self.n_xmin = x, 1
-        elif x == self.xmin:
-            self.n_xmin += 1
-        if y > self.ymax:
-            self.ymax, self.n_ymax = y, 1
-        elif y == self.ymax:
-            self.n_ymax += 1
-        if y < self.ymin:
-            self.ymin, self.n_ymin = y, 1
-        elif y == self.ymin:
-            self.n_ymin += 1
-
-    def remove(self, x: float, y: float) -> bool:
-        """Remove one point; False when a boundary emptied (rebuild me)."""
-        ok = True
-        if x == self.xmax:
-            self.n_xmax -= 1
-            ok = ok and self.n_xmax > 0
-        if x == self.xmin:
-            self.n_xmin -= 1
-            ok = ok and self.n_xmin > 0
-        if y == self.ymax:
-            self.n_ymax -= 1
-            ok = ok and self.n_ymax > 0
-        if y == self.ymin:
-            self.n_ymin -= 1
-            ok = ok and self.n_ymin > 0
-        return ok
-
-    def state(self) -> Tuple:
-        return (self.xmin, self.xmax, self.ymin, self.ymax,
-                self.n_xmin, self.n_xmax, self.n_ymin, self.n_ymax)
-
-    def restore(self, state: Tuple) -> None:
-        (self.xmin, self.xmax, self.ymin, self.ymax,
-         self.n_xmin, self.n_xmax, self.n_ymin, self.n_ymax) = state
-
-
-class _ObjectCostEngine:
-    """The legacy cost path: one ``_NetBox`` per net, dict-keyed state.
-
-    Moves are applied optimistically (``apply_move``) and rolled back on
-    rejection (``undo``); the placer drives it through the legacy
-    apply/undo loop (``speculative = False``).
-    """
-
-    name = "object"
-    speculative = False
-
-    def __init__(self, placer: "AnnealingPlacer", sites: Dict[str, Site]):
-        self.placer = placer
-        self.sites = sites
-        self.pos: Dict[str, Tuple[float, float]] = {
-            name: placer.grid.center_of(site) for name, site in sites.items()
-        }
-        self.boxes: Dict[str, _NetBox] = {}
-        self.net_cost: Dict[str, float] = {
-            name: 0.0 for name in placer.netlist.nets
-        }
-        self._saved: List[Tuple[str, float, Tuple]] = []
-        self._last_pos: Tuple = ()
-
-    # -- exact state -----------------------------------------------------
-    def _net_points(self, net_name: str) -> List[Tuple[float, float]]:
-        placer = self.placer
-        net = placer.netlist.nets[net_name]
-        points: List[Tuple[float, float]] = []
-        if net.driver is not None:
-            points.append(placer.grid.center_of(self.sites[net.driver[0]]))
-        if net_name in placer.pads:
-            points.append(placer.pads[net_name])
-        for sink_name, _pin in net.sinks:
-            points.append(placer.grid.center_of(self.sites[sink_name]))
-        return points
-
-    def _build_box(self, net_name: str) -> _NetBox:
-        return _NetBox(self._net_points(net_name))
-
-    def rebuild(self) -> float:
-        """Full recompute of every active net's box and cost; returns total."""
-        placer = self.placer
-        for net_name in placer._active_nets:
-            box = self._build_box(net_name)
-            self.boxes[net_name] = box
-            self.net_cost[net_name] = placer._weight[net_name] * box.half_perimeter()
-        return sum(self.net_cost.values())
-
-    def net_costs(self) -> Dict[str, float]:
-        """Per-net weighted cost for every active (>= 2 point) net."""
-        return {net: self.net_cost[net] for net in self.placer._active_nets}
-
-    # -- move path -------------------------------------------------------
-    def apply_move(
-        self, mover: str, other: Optional[str], old_site: Site, new_site: Site
-    ) -> float:
-        """Update positions/boxes for a swap already made in ``sites``.
-
-        Only nets touching the moved instance(s) change, each in O(1) via
-        its cached bounding box; call :meth:`undo` to roll back.
-        """
-        placer = self.placer
-        pos = self.pos
-        old_pt = pos[mover]
-        new_pt = placer.grid.center_of(new_site)
-        pos[mover] = new_pt
-        if other is not None:
-            pos[other] = old_pt
-        self._last_pos = (mover, other, old_pt, new_pt)
-
-        # Point relocations per net, in deterministic contribution order.
-        changes: Dict[str, List[Tuple[Tuple[float, float], Tuple[float, float], int]]]
-        changes = {}
-        for net, count in placer._contrib_of[mover]:
-            changes.setdefault(net, []).append((old_pt, new_pt, count))
-        if other is not None:
-            for net, count in placer._contrib_of[other]:
-                changes.setdefault(net, []).append((new_pt, old_pt, count))
-
-        boxes = self.boxes
-        net_cost = self.net_cost
-        delta = 0.0
-        saved: List[Tuple[str, float, Tuple]] = []
-        for net, moves in changes.items():
-            box = boxes[net]
-            saved.append((net, net_cost[net], box.state()))
-            intact = True
-            for from_pt, to_pt, count in moves:
-                for _ in range(count):
-                    box.add(to_pt[0], to_pt[1])
-                    intact = box.remove(from_pt[0], from_pt[1]) and intact
-            if not intact:
-                box = self._build_box(net)
-                boxes[net] = box
-            cost = placer._weight[net] * box.half_perimeter()
-            delta += cost - net_cost[net]
-            net_cost[net] = cost
-        self._saved = saved
-        return delta
-
-    def undo(self) -> None:
-        mover, other, old_pt, new_pt = self._last_pos
-        self.pos[mover] = old_pt
-        if other is not None:
-            self.pos[other] = new_pt
-        for net, cost, state in self._saved:
-            self.net_cost[net] = cost
-            self.boxes[net].restore(state)
-
-
-class _ArrayCostEngine:
-    """Flat-array cost state with speculative (read-only) move deltas.
-
-    Per-net bounding boxes and boundary-occupancy counts live in
-    flat preallocated arrays indexed by a dense net index; per-cell
-    coordinates live in flat position arrays indexed by a dense instance
-    index.  The per-temperature exact rebuild evaluates every net at
-    once — ``numpy`` min/max/count reductions over a flattened
-    point-membership layout when available, a scalar loop over the same
-    flat arrays otherwise.
-
-    The move path is speculative: :meth:`evaluate_move` computes the
-    exact wirelength delta of a proposed move from the boundary-count
-    state *without mutating it*, staging each touched net's candidate
-    box/cost in a reused scratch buffer; :meth:`commit` installs the
-    staged state only when the move is accepted, and a rejected move
-    needs no rollback at all.  Every arithmetic operation mirrors the
-    object engine's optimistic apply/undo path exactly, so results are
-    bit-identical.
-    """
-
-    name = "array"
-    speculative = True
-
-    def __init__(self, placer: "AnnealingPlacer", sites: Dict[str, Site]):
-        self.placer = placer
-        grid = placer.grid
-        pitch = grid.pitch
-        # Site-center coordinate tables: center_of((c, r)) without the
-        # per-move method call (identical expression, identical bits).
-        self.col_x = [(col + 0.5) * pitch for col in range(grid.cols)]
-        self.row_y = [(row + 0.5) * pitch for row in range(grid.rows)]
-
-        # Flat per-cell / per-net state lives in preallocated Python
-        # lists of doubles rather than ``array('d')``: element access in
-        # the per-move hot loop is measurably faster because lists hold
-        # the boxed floats directly (``array`` re-boxes on every read),
-        # and the values are the same IEEE doubles either way.  The
-        # batched rebuild converts to numpy views in bulk.
-        names = placer._instances
-        self.index_of = {name: i for i, name in enumerate(names)}
-        n = len(names)
-        self.pos_x = [0.0] * n
-        self.pos_y = [0.0] * n
-        for name, site in sites.items():
-            i = self.index_of[name]
-            self.pos_x[i] = self.col_x[site[0]]
-            self.pos_y[i] = self.row_y[site[1]]
-
-        nets = placer._active_nets
-        m = len(nets)
-        self.net_index = {net: i for i, net in enumerate(nets)}
-        self.weight = [placer._weight[net] for net in nets]
-        # Box state, one slot per active net.
-        self.xmin = [0.0] * m
-        self.xmax = [0.0] * m
-        self.ymin = [0.0] * m
-        self.ymax = [0.0] * m
-        self.n_xmin = [0] * m
-        self.n_xmax = [0] * m
-        self.n_ymin = [0] * m
-        self.n_ymax = [0] * m
-        self.cost = [0.0] * m
-
-        # Per-instance contributions as (net index, multiplicity) pairs.
-        self.contrib: List[List[Tuple[int, int]]] = [[] for _ in names]
-        for name, entries in placer._contrib_of.items():
-            i = self.index_of[name]
-            self.contrib[i] = [
-                (self.net_index[net], count) for net, count in entries
-            ]
-
-        # Flattened per-net point membership (instance index, or -1 for
-        # the net's pad point), multiplicities expanded.  Segment k spans
-        # offsets[k]:offsets[k+1] in the flat arrays.
-        flat_inst: List[int] = []
-        flat_pad_x: List[float] = []
-        flat_pad_y: List[float] = []
-        offsets = [0]
-        self.members: List[List[int]] = []
-        self.pad_of: List[Optional[Tuple[float, float]]] = []
-        for net_name in nets:
-            net = placer.netlist.nets[net_name]
-            members: List[int] = []
-            if net.driver is not None:
-                members.append(self.index_of[net.driver[0]])
-            for sink_name, _pin in net.sinks:
-                members.append(self.index_of[sink_name])
-            pad = placer.pads.get(net_name)
-            self.members.append(members)
-            self.pad_of.append(pad)
-            for idx in members:
-                flat_inst.append(idx)
-                flat_pad_x.append(0.0)
-                flat_pad_y.append(0.0)
-            if pad is not None:
-                flat_inst.append(-1)
-                flat_pad_x.append(pad[0])
-                flat_pad_y.append(pad[1])
-            offsets.append(len(flat_inst))
-
-        self._flat_inst = flat_inst
-        self._flat_pad_x = flat_pad_x
-        self._flat_pad_y = flat_pad_y
-        self._offsets = offsets
-        if _np is not None and m:
-            self._np_inst = _np.asarray(flat_inst, dtype=_np.int64)
-            self._np_gather = _np.maximum(self._np_inst, 0)
-            self._np_is_pad = self._np_inst < 0
-            self._np_pad_x = _np.asarray(flat_pad_x)
-            self._np_pad_y = _np.asarray(flat_pad_y)
-            self._np_offsets = _np.asarray(offsets[:-1], dtype=_np.int64)
-            self._np_sizes = _np.diff(_np.asarray(offsets, dtype=_np.int64))
-            self._np_weight = _np.asarray(self.weight)
-
-        # Nets with exactly two points take a branch instead of the
-        # min/max/count scan in the speculative rebuild (any move of one
-        # endpoint empties a boundary, so they dominate rebuilds).
-        self.two_point = [
-            len(self.members[k]) + (0 if self.pad_of[k] is None else 1) == 2
-            for k in range(m)
-        ]
-
-        # Speculation scratch (filled by evaluate_move, installed by
-        # commit).  ``_pending`` holds one reused 10-slot list per
-        # touched net: [net index, staged cost, xmin, xmax, ymin, ymax,
-        # n_xmin, n_xmax, n_ymin, n_ymax].  ``_touched``/``_slot_of``
-        # implement an epoch-stamped net -> pending-slot map so a swap
-        # whose two cells share a net merges into one entry without any
-        # per-move dict allocation.
-        self._pending: List[List] = []
-        self._pending_move: Tuple = ()
-        self._touched = [0] * m
-        self._slot_of = [0] * m
-        self._epoch = 0
-        self._refresh_hot()
-
-    def _refresh_hot(self) -> None:
-        """Rebind the unpack-once hot-state tuple.
-
-        ``evaluate_move``/``commit`` unpack every per-net array from one
-        tuple instead of paying ~20 attribute loads per call.  The numpy
-        rebuild path replaces the box/cost lists wholesale, so it calls
-        this after swapping them in.
-        """
-        self._hot = (
-            self.pos_x, self.pos_y, self.col_x, self.row_y,
-            self.xmin, self.xmax, self.ymin, self.ymax,
-            self.n_xmin, self.n_xmax, self.n_ymin, self.n_ymax,
-            self.weight, self.cost, self.members, self.pad_of,
-            self.two_point, self.contrib, self.index_of,
-            self._pending, self._touched, self._slot_of,
-        )
-
-    # -- exact state -----------------------------------------------------
-    def _spec_box(
-        self, k: int
-    ) -> Tuple[float, float, float, float, int, int, int, int]:
-        """Exact box of net ``k`` from the stored flat positions.
-
-        A single pass over the net's presorted member-index list
-        replaces the per-call ``xs``/``ys`` list comprehensions the old
-        rebuild paid — the running min/max/boundary counts equal
-        ``min()``/``max()``/``count()`` over the same point multiset bit
-        for bit.  ``evaluate_move`` stages candidate coordinates in the
-        position arrays (restoring on return), so this scan serves both
-        the committed and the speculative state with no per-member
-        substitution tests.
-        """
-        pos_x, pos_y = self.pos_x, self.pos_y
-        members = self.members[k]
-        pad = self.pad_of[k]
-        it = iter(members)
-        i = next(it)
-        x = pos_x[i]
-        y = pos_y[i]
-        if self.two_point[k]:
-            if pad is None:
-                i = members[1]
-                x1 = pos_x[i]
-                y1 = pos_y[i]
-            else:
-                x1, y1 = pad
-            if x <= x1:
-                xmin, xmax = x, x1
-            else:
-                xmin, xmax = x1, x
-            n_x = 2 if x == x1 else 1
-            if y <= y1:
-                ymin, ymax = y, y1
-            else:
-                ymin, ymax = y1, y
-            n_y = 2 if y == y1 else 1
-            return (xmin, xmax, ymin, ymax, n_x, n_x, n_y, n_y)
-        xmin = xmax = x
-        ymin = ymax = y
-        n_xmin = n_xmax = n_ymin = n_ymax = 1
-        for i in it:
-            x = pos_x[i]
-            y = pos_y[i]
-            if x > xmax:
-                xmax, n_xmax = x, 1
-            elif x == xmax:
-                n_xmax += 1
-            if x < xmin:
-                xmin, n_xmin = x, 1
-            elif x == xmin:
-                n_xmin += 1
-            if y > ymax:
-                ymax, n_ymax = y, 1
-            elif y == ymax:
-                n_ymax += 1
-            if y < ymin:
-                ymin, n_ymin = y, 1
-            elif y == ymin:
-                n_ymin += 1
-        if pad is not None:
-            x, y = pad
-            if x > xmax:
-                xmax, n_xmax = x, 1
-            elif x == xmax:
-                n_xmax += 1
-            if x < xmin:
-                xmin, n_xmin = x, 1
-            elif x == xmin:
-                n_xmin += 1
-            if y > ymax:
-                ymax, n_ymax = y, 1
-            elif y == ymax:
-                n_ymax += 1
-            if y < ymin:
-                ymin, n_ymin = y, 1
-            elif y == ymin:
-                n_ymin += 1
-        return (xmin, xmax, ymin, ymax, n_xmin, n_xmax, n_ymin, n_ymax)
-
-    def _rebuild_net(self, k: int) -> None:
-        """Exact box for one net from the stored flat positions."""
-        (self.xmin[k], self.xmax[k], self.ymin[k], self.ymax[k],
-         self.n_xmin[k], self.n_xmax[k], self.n_ymin[k],
-         self.n_ymax[k]) = self._spec_box(k)
-
-    def rebuild(self) -> float:
-        """Batched exact recompute of every net's box; returns the total.
-
-        The total is accumulated left to right in active-net order — the
-        same order (and therefore the same float value) as the object
-        engine's ``sum`` over its per-net cost dict.
-        """
-        m = len(self.cost)
-        if _np is not None and m:
-            inst = self._np_gather
-            px = _np.asarray(self.pos_x)
-            py = _np.asarray(self.pos_y)
-            x = _np.where(self._np_is_pad, self._np_pad_x, px[inst])
-            y = _np.where(self._np_is_pad, self._np_pad_y, py[inst])
-            offsets = self._np_offsets
-            xmin = _np.minimum.reduceat(x, offsets)
-            xmax = _np.maximum.reduceat(x, offsets)
-            ymin = _np.minimum.reduceat(y, offsets)
-            ymax = _np.maximum.reduceat(y, offsets)
-            sizes = self._np_sizes
-            n_xmin = _np.add.reduceat(x == _np.repeat(xmin, sizes), offsets)
-            n_xmax = _np.add.reduceat(x == _np.repeat(xmax, sizes), offsets)
-            n_ymin = _np.add.reduceat(y == _np.repeat(ymin, sizes), offsets)
-            n_ymax = _np.add.reduceat(y == _np.repeat(ymax, sizes), offsets)
-            cost = self._np_weight * ((xmax - xmin) + (ymax - ymin))
-            self.xmin = xmin.tolist()
-            self.xmax = xmax.tolist()
-            self.ymin = ymin.tolist()
-            self.ymax = ymax.tolist()
-            self.n_xmin = n_xmin.tolist()
-            self.n_xmax = n_xmax.tolist()
-            self.n_ymin = n_ymin.tolist()
-            self.n_ymax = n_ymax.tolist()
-            costs = cost.tolist()
-            self.cost = costs
-            self._refresh_hot()
-            total = 0.0
-            for c in costs:
-                total += c
-            return total
-        total = 0.0
-        for k in range(m):
-            self._rebuild_net(k)
-            cost = self.weight[k] * (
-                (self.xmax[k] - self.xmin[k]) + (self.ymax[k] - self.ymin[k])
-            )
-            self.cost[k] = cost
-            total += cost
-        return total
-
-    def net_costs(self) -> Dict[str, float]:
-        return {net: self.cost[k] for net, k in self.net_index.items()}
-
-    # -- move path -------------------------------------------------------
-    def evaluate_move(
-        self, mover: str, other: Optional[str], new_site: Site
-    ) -> float:
-        """Speculative exact delta for moving ``mover`` to ``new_site``.
-
-        Performs the identical per-net float operations the object
-        engine's apply path does — boundary add/remove updates in
-        first-touch net order, an exact rebuild when a boundary empties —
-        but commits nothing: candidate coordinates are staged in the
-        position arrays for the duration of the call (restored before
-        returning) so box scans need no per-member substitution tests,
-        and candidate box states go to the reused ``_pending`` buffer,
-        installed by :meth:`commit` on accept.  Rejection needs no work
-        at all.
-        """
-        (pos_x, pos_y, col_x, row_y,
-         s_xmin, s_xmax, s_ymin, s_ymax,
-         s_n_xmin, s_n_xmax, s_n_ymin, s_n_ymax,
-         weight, s_cost, members_of, pad_of, two_point, contrib,
-         index_of, pending, touched, slot_of) = self._hot
-        mi = index_of[mover]
-        old_x = pos_x[mi]
-        old_y = pos_y[mi]
-        new_x = col_x[new_site[0]]
-        new_y = row_y[new_site[1]]
-        if other is not None:
-            oi = index_of[other]
-            pos_x[oi] = old_x
-            pos_y[oi] = old_y
-        else:
-            oi = -1
-        pos_x[mi] = new_x
-        pos_y[mi] = new_y
-        self._pending_move = (mi, oi, old_x, old_y, new_x, new_y)
-
-        del pending[:]
-        append = pending.append
-        n_pending = 0
-        epoch = self._epoch = self._epoch + 1
-
-        # Mover's nets: relocate (old -> new), one staged entry per net.
-        # Two-point nets (the dominant class — moving either endpoint
-        # almost always empties a boundary) skip the add/remove dance
-        # entirely: with the candidate coordinates already staged in the
-        # position arrays, their exact post-move box is two direct
-        # reads, bit-identical to what the incremental update (or the
-        # rebuild it triggers) produces.
-        for k, count in contrib[mi]:
-            if two_point[k]:
-                members = members_of[k]
-                x0 = pos_x[members[0]]
-                y0 = pos_y[members[0]]
-                pad = pad_of[k]
-                if pad is None:
-                    i = members[1]
-                    x1 = pos_x[i]
-                    y1 = pos_y[i]
-                else:
-                    x1, y1 = pad
-                if x0 <= x1:
-                    xmin, xmax = x0, x1
-                else:
-                    xmin, xmax = x1, x0
-                n_x = 2 if x0 == x1 else 1
-                if y0 <= y1:
-                    ymin, ymax = y0, y1
-                else:
-                    ymin, ymax = y1, y0
-                n_y = 2 if y0 == y1 else 1
-                touched[k] = epoch
-                slot_of[k] = n_pending
-                n_pending += 1
-                append([k, True, xmin, xmax, ymin, ymax,
-                                n_x, n_x, n_y, n_y])
-                continue
-            if count == 1:
-                xmax = s_xmax[k]
-                xmin = s_xmin[k]
-                ymax = s_ymax[k]
-                ymin = s_ymin[k]
-                # Removing the mover's point empties a boundary exactly
-                # when it holds that boundary alone and the added point
-                # doesn't re-cover it — a closed-form test, so the
-                # boundary-count update is skipped outright for nets
-                # headed to an exact rebuild, and nets that pass run it
-                # with no emptiness bookkeeping at all.
-                if (
-                    (old_x == xmax and s_n_xmax[k] == 1 and new_x < old_x)
-                    or (old_x == xmin and s_n_xmin[k] == 1 and new_x > old_x)
-                    or (old_y == ymax and s_n_ymax[k] == 1 and new_y < old_y)
-                    or (old_y == ymin and s_n_ymin[k] == 1 and new_y > old_y)
-                ):
-                    touched[k] = epoch
-                    slot_of[k] = n_pending
-                    n_pending += 1
-                    append([k, False, 0.0, 0.0, 0.0, 0.0,
-                                    0, 0, 0, 0])
-                    continue
-                n_xmin = s_n_xmin[k]
-                n_xmax = s_n_xmax[k]
-                n_ymin = s_n_ymin[k]
-                n_ymax = s_n_ymax[k]
-                # add (new_x, new_y)
-                if new_x > xmax:
-                    xmax, n_xmax = new_x, 1
-                elif new_x == xmax:
-                    n_xmax += 1
-                if new_x < xmin:
-                    xmin, n_xmin = new_x, 1
-                elif new_x == xmin:
-                    n_xmin += 1
-                if new_y > ymax:
-                    ymax, n_ymax = new_y, 1
-                elif new_y == ymax:
-                    n_ymax += 1
-                if new_y < ymin:
-                    ymin, n_ymin = new_y, 1
-                elif new_y == ymin:
-                    n_ymin += 1
-                # remove (old_x, old_y) — guaranteed not to empty
-                if old_x == xmax:
-                    n_xmax -= 1
-                if old_x == xmin:
-                    n_xmin -= 1
-                if old_y == ymax:
-                    n_ymax -= 1
-                if old_y == ymin:
-                    n_ymin -= 1
-                touched[k] = epoch
-                slot_of[k] = n_pending
-                n_pending += 1
-                append([k, True, xmin, xmax, ymin, ymax,
-                                n_xmin, n_xmax, n_ymin, n_ymax])
-                continue
-            xmin = s_xmin[k]
-            xmax = s_xmax[k]
-            ymin = s_ymin[k]
-            ymax = s_ymax[k]
-            n_xmin = s_n_xmin[k]
-            n_xmax = s_n_xmax[k]
-            n_ymin = s_n_ymin[k]
-            n_ymax = s_n_ymax[k]
-            intact = True
-            for _ in range(count):
-                # add (new_x, new_y)
-                if new_x > xmax:
-                    xmax, n_xmax = new_x, 1
-                elif new_x == xmax:
-                    n_xmax += 1
-                if new_x < xmin:
-                    xmin, n_xmin = new_x, 1
-                elif new_x == xmin:
-                    n_xmin += 1
-                if new_y > ymax:
-                    ymax, n_ymax = new_y, 1
-                elif new_y == ymax:
-                    n_ymax += 1
-                if new_y < ymin:
-                    ymin, n_ymin = new_y, 1
-                elif new_y == ymin:
-                    n_ymin += 1
-                # remove (old_x, old_y); an emptied boundary invalidates
-                # the box (exact rebuild at finalization)
-                if old_x == xmax:
-                    n_xmax -= 1
-                    intact = intact and n_xmax > 0
-                if old_x == xmin:
-                    n_xmin -= 1
-                    intact = intact and n_xmin > 0
-                if old_y == ymax:
-                    n_ymax -= 1
-                    intact = intact and n_ymax > 0
-                if old_y == ymin:
-                    n_ymin -= 1
-                    intact = intact and n_ymin > 0
-            touched[k] = epoch
-            slot_of[k] = n_pending
-            n_pending += 1
-            append([k, intact, xmin, xmax, ymin, ymax,
-                            n_xmin, n_xmax, n_ymin, n_ymax])
-
-        # Other's nets: relocate (new -> old); a net shared with the
-        # mover continues from its staged state so the relocation
-        # sequence matches the apply path's merged per-net move list.
-        if oi >= 0:
-            for k, count in contrib[oi]:
-                if two_point[k]:
-                    # Shared with the mover: pass 1 already staged the
-                    # exact final box.
-                    if touched[k] == epoch:
-                        continue
-                    members = members_of[k]
-                    x0 = pos_x[members[0]]
-                    y0 = pos_y[members[0]]
-                    pad = pad_of[k]
-                    if pad is None:
-                        i = members[1]
-                        x1 = pos_x[i]
-                        y1 = pos_y[i]
-                    else:
-                        x1, y1 = pad
-                    if x0 <= x1:
-                        xmin, xmax = x0, x1
-                    else:
-                        xmin, xmax = x1, x0
-                    n_x = 2 if x0 == x1 else 1
-                    if y0 <= y1:
-                        ymin, ymax = y0, y1
-                    else:
-                        ymin, ymax = y1, y0
-                    n_y = 2 if y0 == y1 else 1
-                    touched[k] = epoch
-                    slot_of[k] = n_pending
-                    n_pending += 1
-                    append([k, True, xmin, xmax, ymin, ymax,
-                                    n_x, n_x, n_y, n_y])
-                    continue
-                if touched[k] == epoch:
-                    # Shared with the mover (rare): continue from the
-                    # staged state so the relocation sequence matches
-                    # the apply path's merged per-net move list.  An
-                    # invalidated placeholder stays invalidated; its
-                    # values are garbage until the finalize rebuild.
-                    ent = pending[slot_of[k]]
-                    (_k, intact, xmin, xmax, ymin, ymax,
-                     n_xmin, n_xmax, n_ymin, n_ymax) = ent
-                elif count == 1:
-                    xmax = s_xmax[k]
-                    xmin = s_xmin[k]
-                    ymax = s_ymax[k]
-                    ymin = s_ymin[k]
-                    # Same closed-form boundary-emptiness test as pass
-                    # 1, with the relocation reversed (add old, remove
-                    # new).
-                    if (
-                        (new_x == xmax and s_n_xmax[k] == 1
-                         and old_x < new_x)
-                        or (new_x == xmin and s_n_xmin[k] == 1
-                            and old_x > new_x)
-                        or (new_y == ymax and s_n_ymax[k] == 1
-                            and old_y < new_y)
-                        or (new_y == ymin and s_n_ymin[k] == 1
-                            and old_y > new_y)
-                    ):
-                        touched[k] = epoch
-                        slot_of[k] = n_pending
-                        n_pending += 1
-                        append([k, False, 0.0, 0.0, 0.0, 0.0,
-                                        0, 0, 0, 0])
-                        continue
-                    n_xmin = s_n_xmin[k]
-                    n_xmax = s_n_xmax[k]
-                    n_ymin = s_n_ymin[k]
-                    n_ymax = s_n_ymax[k]
-                    # add (old_x, old_y)
-                    if old_x > xmax:
-                        xmax, n_xmax = old_x, 1
-                    elif old_x == xmax:
-                        n_xmax += 1
-                    if old_x < xmin:
-                        xmin, n_xmin = old_x, 1
-                    elif old_x == xmin:
-                        n_xmin += 1
-                    if old_y > ymax:
-                        ymax, n_ymax = old_y, 1
-                    elif old_y == ymax:
-                        n_ymax += 1
-                    if old_y < ymin:
-                        ymin, n_ymin = old_y, 1
-                    elif old_y == ymin:
-                        n_ymin += 1
-                    # remove (new_x, new_y) — guaranteed not to empty
-                    if new_x == xmax:
-                        n_xmax -= 1
-                    if new_x == xmin:
-                        n_xmin -= 1
-                    if new_y == ymax:
-                        n_ymax -= 1
-                    if new_y == ymin:
-                        n_ymin -= 1
-                    touched[k] = epoch
-                    slot_of[k] = n_pending
-                    n_pending += 1
-                    append([k, True, xmin, xmax, ymin, ymax,
-                                    n_xmin, n_xmax, n_ymin, n_ymax])
-                    continue
-                else:
-                    ent = None
-                    xmin = s_xmin[k]
-                    xmax = s_xmax[k]
-                    ymin = s_ymin[k]
-                    ymax = s_ymax[k]
-                    n_xmin = s_n_xmin[k]
-                    n_xmax = s_n_xmax[k]
-                    n_ymin = s_n_ymin[k]
-                    n_ymax = s_n_ymax[k]
-                    intact = True
-                for _ in range(count):
-                    # add (old_x, old_y)
-                    if old_x > xmax:
-                        xmax, n_xmax = old_x, 1
-                    elif old_x == xmax:
-                        n_xmax += 1
-                    if old_x < xmin:
-                        xmin, n_xmin = old_x, 1
-                    elif old_x == xmin:
-                        n_xmin += 1
-                    if old_y > ymax:
-                        ymax, n_ymax = old_y, 1
-                    elif old_y == ymax:
-                        n_ymax += 1
-                    if old_y < ymin:
-                        ymin, n_ymin = old_y, 1
-                    elif old_y == ymin:
-                        n_ymin += 1
-                    # remove (new_x, new_y)
-                    if new_x == xmax:
-                        n_xmax -= 1
-                        intact = intact and n_xmax > 0
-                    if new_x == xmin:
-                        n_xmin -= 1
-                        intact = intact and n_xmin > 0
-                    if new_y == ymax:
-                        n_ymax -= 1
-                        intact = intact and n_ymax > 0
-                    if new_y == ymin:
-                        n_ymin -= 1
-                        intact = intact and n_ymin > 0
-                if ent is not None:
-                    ent[1] = intact
-                    ent[2] = xmin
-                    ent[3] = xmax
-                    ent[4] = ymin
-                    ent[5] = ymax
-                    ent[6] = n_xmin
-                    ent[7] = n_xmax
-                    ent[8] = n_ymin
-                    ent[9] = n_ymax
-                else:
-                    touched[k] = epoch
-                    slot_of[k] = n_pending
-                    n_pending += 1
-                    append([k, intact, xmin, xmax, ymin, ymax,
-                                    n_xmin, n_xmax, n_ymin, n_ymax])
-
-        # Cost deltas in first-touch order; invalidated boxes get an
-        # exact rebuild over the staged candidate coordinates.  Slot 1
-        # of each entry is repurposed from the intact flag to the staged
-        # new cost for commit.
-        spec_box = self._spec_box
-        delta = 0.0
-        for ent in pending:
-            k = ent[0]
-            if ent[1]:
-                cost = weight[k] * ((ent[3] - ent[2]) + (ent[5] - ent[4]))
-            else:
-                box = spec_box(k)
-                ent[2:10] = box
-                cost = weight[k] * ((box[1] - box[0]) + (box[3] - box[2]))
-            delta += cost - s_cost[k]
-            ent[1] = cost
-
-        # Restore the committed coordinates; commit() re-installs the
-        # candidate ones on accept.
-        pos_x[mi] = old_x
-        pos_y[mi] = old_y
-        if oi >= 0:
-            pos_x[oi] = new_x
-            pos_y[oi] = new_y
-        return delta
-
-    def commit(self) -> None:
-        """Install the staged state of the last evaluated move."""
-        (pos_x, pos_y, _col_x, _row_y,
-         s_xmin, s_xmax, s_ymin, s_ymax,
-         s_n_xmin, s_n_xmax, s_n_ymin, s_n_ymax,
-         _weight, s_cost, _members, _pads, _two_point, _contrib,
-         _index_of, pending, _touched, _slot_of) = self._hot
-        mi, oi, old_x, old_y, new_x, new_y = self._pending_move
-        pos_x[mi] = new_x
-        pos_y[mi] = new_y
-        if oi >= 0:
-            pos_x[oi] = old_x
-            pos_y[oi] = old_y
-        for ent in pending:
-            k = ent[0]
-            s_cost[k] = ent[1]
-            s_xmin[k] = ent[2]
-            s_xmax[k] = ent[3]
-            s_ymin[k] = ent[4]
-            s_ymax[k] = ent[5]
-            s_n_xmin[k] = ent[6]
-            s_n_xmax[k] = ent[7]
-            s_n_ymin[k] = ent[8]
-            s_n_ymax[k] = ent[9]
-
-
-_ENGINES = {"array": _ArrayCostEngine, "object": _ObjectCostEngine}
-
-
-def default_engine() -> str:
-    """The cost-engine choice: ``$REPRO_SA_ENGINE`` or ``"array"``.
-
-    Ambient, but bit-identical by contract: both engines produce the
-    same float sequence and placements (asserted in tests), so the read
-    is exempt from the stage-purity rule.
-    """
-    return os.environ.get(ENGINE_ENV, "").strip().lower() or "array"  # check: allow(CK003)
-
-
 class AnnealingPlacer:
     """Criticality-weighted HPWL simulated annealing."""
 
@@ -1012,7 +113,6 @@ class AnnealingPlacer:
         seed: int = 0,
         locked: Optional[Mapping[str, Site]] = None,
         effort: float = 1.0,
-        engine: Optional[str] = None,
     ):
         self.netlist = netlist
         self.grid = grid
@@ -1020,12 +120,6 @@ class AnnealingPlacer:
         self.net_weights = dict(net_weights or {})
         self.locked = dict(locked or {})
         self.effort = effort
-        self.engine_name = (engine or default_engine()).lower()
-        if self.engine_name not in _ENGINES:
-            raise ValueError(
-                f"unknown SA cost engine {self.engine_name!r} "
-                f"(choices: {sorted(_ENGINES)})"
-            )
 
         self._instances = list(netlist.instances)
         self._movable = [n for n in self._instances if n not in self.locked]
@@ -1034,35 +128,48 @@ class AnnealingPlacer:
                 f"grid has {grid.n_sites} sites for {len(self._instances)} instances"
             )
 
-        # Per-instance net contributions for incremental cost updates:
-        # instance -> [(net, point multiplicity)], in netlist net order
-        # (deterministic — never hash-randomized set order).  Only nets
-        # with >= 2 points can ever have nonzero cost ("active").
-        self._contrib_of: Dict[str, List[Tuple[str, int]]] = {
-            name: [] for name in self._instances
-        }
-        self._active_nets: List[str] = []
-        self._weight: Dict[str, float] = {}
+        # Only nets with >= 2 points can ever have nonzero cost
+        # ("active"); they are numbered in netlist net order
+        # (deterministic — never hash-randomized set order).  Per instance
+        # index, ``_contrib`` lists [(net index, point multiplicity,
+        # -1 - multiplicity)] in that order, leaving out nets whose points
+        # all sit on that one instance (constant cost); ``_points`` holds
+        # the same nets once per point.
         self.pads = grid.pad_positions(list(netlist.inputs) + list(netlist.outputs))
+        self._index = {name: i for i, name in enumerate(self._instances)}
+        self._active_nets: List[str] = []
+        self._net_weight: List[float] = []
+        self._contrib: List[List[Tuple[int, int, int]]] = [
+            [] for _ in self._instances
+        ]
         for net_name, net in netlist.nets.items():
             counts: Dict[str, int] = {}
             if net.driver is not None:
                 counts[net.driver[0]] = counts.get(net.driver[0], 0) + 1
             for sink_name, _pin in net.sinks:
                 counts[sink_name] = counts.get(sink_name, 0) + 1
-            n_points = sum(counts.values()) + (1 if net_name in self.pads else 0)
-            if n_points < 2:
+            has_pad = net_name in self.pads
+            if sum(counts.values()) + has_pad < 2:
                 continue
+            k = len(self._active_nets)
             self._active_nets.append(net_name)
-            self._weight[net_name] = 1.0 + self.net_weights.get(net_name, 0.0)
+            self._net_weight.append(1.0 + self.net_weights.get(net_name, 0.0))
+            if len(counts) == 1 and not has_pad:
+                continue
             for member, count in counts.items():
-                self._contrib_of[member].append((net_name, count))
+                self._contrib[self._index[member]].append(
+                    (k, count, -1 - count)
+                )
+        self._points = [
+            [k for k, n, _nn in entries for _ in range(n)]
+            for entries in self._contrib
+        ]
+        self._movable_idx = [self._index[name] for name in self._movable]
 
-        # Populated by place(): the engine used, the final exact cost,
-        # and aggregate move-kernel counters (proposed = drawn proposals,
-        # evaluated = proposals that reached the cost engine, accepted =
-        # committed moves) for observability and benchmarks.
-        self._engine = None
+        # Populated by place(): the final exact cost and aggregate
+        # move-kernel counters (proposed = drawn proposals, evaluated =
+        # proposals whose cost delta was computed, accepted = committed
+        # moves) for observability and benchmarks.
         self.final_cost: Optional[float] = None
         self.stats: Dict[str, float] = {}
 
@@ -1077,10 +184,86 @@ class AnnealingPlacer:
         return sites
 
     # ------------------------------------------------------------------
+    # Cost state.  Sites are (col, row) per instance index; site (c, r)
+    # is slot ``r * cols + c`` of the flat occupant list (-1 = empty).
+    def _start(self, sites: Dict[str, Site]) -> None:
+        """Build the exact cost state for the assignment ``sites``."""
+        grid = self.grid
+        pitch = grid.pitch
+        cols = grid.cols
+        # Site-center tables: center_of((c, r)) without the method call
+        # (identical expression, identical bits).
+        self._col_x = [(c + 0.5) * pitch for c in range(cols)]
+        self._row_y = [(r + 0.5) * pitch for r in range(grid.rows)]
+        n = len(self._instances)
+        self._col = col = [0] * n
+        self._row = row = [0] * n
+        self._occ = occ = [-1] * grid.n_sites
+        for name, (c, r) in sites.items():
+            i = self._index[name]
+            col[i] = c
+            row[i] = r
+            occ[r * cols + c] = i
+        self._locked_mask = [name in self.locked for name in self._instances]
+        self._sites = sites
+
+        xs: List[List[float]] = []
+        ys: List[List[float]] = []
+        nets = self.netlist.nets
+        for net_name in self._active_nets:
+            net = nets[net_name]
+            members = [net.driver[0]] if net.driver is not None else []
+            members += [sink for sink, _pin in net.sinks]
+            X = [self._col_x[col[self._index[m]]] for m in members]
+            Y = [self._row_y[row[self._index[m]]] for m in members]
+            pad = self.pads.get(net_name)
+            if pad is not None:
+                X.append(pad[0])
+                Y.append(pad[1])
+            X.sort()
+            Y.sort()
+            xs.append(X)
+            ys.append(Y)
+        self._xs = xs
+        self._ys = ys
+        self._cost = [
+            w * ((X[-1] - X[0]) + (Y[-1] - Y[0]))
+            for w, X, Y in zip(self._net_weight, xs, ys)
+        ]
+        # Candidate per-net costs of the move being evaluated, and the
+        # move stamp marking the mover's nets (shared-net detection).
+        self._pend = [0.0] * len(xs)
+        self._stamp = [0] * len(xs)
+        self._epoch = 0
+
+    def _total_cost(self) -> float:
+        """Total cost: the stored exact costs summed left to right.
+
+        A plain loop, not ``sum``: Python 3.12+ compensates float sums,
+        which would change the total's last bits between versions.
+        """
+        total = 0.0
+        for c in self._cost:
+            total += c
+        return total
+
+    def _final_sites(self) -> Dict[str, Site]:
+        """The assignment, in the key order of the initial ``sites``."""
+        sites = self._sites
+        index, col, row = self._index, self._col, self._row
+        for name in sites:
+            i = index[name]
+            sites[name] = (col[i], row[i])
+        return sites
+
+    def net_costs(self) -> Dict[str, float]:
+        """Per-net weighted cost for every active (>= 2 point) net."""
+        return dict(zip(self._active_nets, self._cost))
+
+    # ------------------------------------------------------------------
     def place(self) -> Placement:
         with _obs.span(
             "sa.place",
-            engine=self.engine_name,
             cells=len(self._instances),
             movable=len(self._movable),
             nets=len(self._active_nets),
@@ -1089,22 +272,18 @@ class AnnealingPlacer:
         return placement
 
     def _place(self, _span) -> Placement:
-        sites = self._initial_sites()
-        occupant: Dict[Site, Optional[str]] = {s: None for s in self.grid.sites()}
-        for name, site in sites.items():
-            occupant[site] = name
-        engine = _ENGINES[self.engine_name](self, sites)
-        self._engine = engine
-        total = engine.rebuild()
+        self._start(self._initial_sites())
+        total = self._total_cost()
 
         if not self._movable:
             self.final_cost = total
             self.stats = {
-                "engine": self.engine_name, "temperatures": 0,
-                "proposed": 0, "evaluated": 0, "accepted": 0,
+                "temperatures": 0, "proposed": 0, "evaluated": 0, "accepted": 0,
             }
             _span.set(final_cost=total, temperatures=0)
-            return Placement(grid=self.grid, sites=sites, pads=self.pads)
+            return Placement(
+                grid=self.grid, sites=self._final_sites(), pads=self.pads
+            )
 
         n = len(self._movable)
         moves_per_t = min(
@@ -1112,20 +291,14 @@ class AnnealingPlacer:
             max(200, int(self.effort * MOVES_PER_CELL * n ** 1.33)),
         )
 
-        # The speculative engine gets the evaluate/commit hot loop (no
-        # apply/undo, inlined RNG); the object engine keeps the legacy
-        # optimistic-apply loop.  Both draw the identical bit stream and
-        # perform the identical float operations.
-        if engine.speculative:
-            sample = self._sample_speculative
-            sweep = self._sweep_speculative
-        else:
-            sample = self._sample_legacy
-            sweep = self._sweep_legacy
-
-        # Initial temperature: std-dev of cost over random perturbations.
+        # Initial temperature: std-dev of cost over random perturbations
+        # (every proposal applied; the running total follows them).
         n_samples = min(100, moves_per_t)
-        samples, total = sample(engine, sites, occupant, n_samples, total)
+        deltas: List[float] = []
+        self._sweep(self.grid.cols, n_samples, 0.0, deltas)
+        samples = [abs(d) for d in deltas]
+        for d in deltas:
+            total += d
         temperature = 20.0 * (sum(samples) / max(1, len(samples)) or 1.0)
 
         range_limit = float(max(self.grid.cols, self.grid.rows))
@@ -1143,9 +316,8 @@ class AnnealingPlacer:
             observing = _obs.active()
             sweep_temperature = temperature
             sweep_start = time.perf_counter() if observing else 0.0  # check: allow(DT002, CK003) trace timing
-            accepted, evaluated = sweep(
-                engine, sites, occupant, int(max(1, range_limit)),
-                moves_per_t, temperature,
+            accepted, evaluated = self._sweep(
+                int(max(1, range_limit)), moves_per_t, temperature
             )
             ratio = accepted / max(1, moves_per_t)
             # VPR schedule.
@@ -1158,8 +330,8 @@ class AnnealingPlacer:
             else:
                 temperature *= 0.8
             range_limit = max(1.0, range_limit * (1.0 - 0.44 + ratio))
-            # Periodic exact rebuild bounds float drift in the running total.
-            total = engine.rebuild()
+            # Periodic re-sum bounds float drift in the running total.
+            total = self._total_cost()
             n_temperatures += 1
             proposed += moves_per_t
             evaluated_total += evaluated
@@ -1189,7 +361,6 @@ class AnnealingPlacer:
 
         self.final_cost = total
         self.stats = {
-            "engine": self.engine_name,
             "temperatures": n_temperatures,
             "proposed": proposed,
             "evaluated": evaluated_total,
@@ -1197,233 +368,245 @@ class AnnealingPlacer:
         }
         _span.set(final_cost=total, temperatures=n_temperatures)
         _obs.counter("sa.placements")
-        return Placement(grid=self.grid, sites=sites, pads=self.pads)
+        return Placement(grid=self.grid, sites=self._final_sites(), pads=self.pads)
 
     # ------------------------------------------------------------------
-    def _try_move(
+    def _sweep(
         self,
-        engine,
-        sites: Dict[str, Site],
-        occupant: Dict[Site, Optional[str]],
         range_limit: int,
-    ) -> Tuple[float, bool]:
-        """Propose one move; returns (delta, applied).
+        moves: int,
+        temperature: float,
+        deltas: Optional[List[float]] = None,
+    ) -> Tuple[int, int]:
+        """Propose ``moves`` moves at ``temperature``; (accepted, evaluated).
 
-        The move is applied optimistically — sites/occupancy here, cost
-        state inside the engine; call :meth:`_undo_move` to reject.
+        With a ``deltas`` list, every proposal is applied instead and its
+        signed cost delta recorded (``0.0`` for a null proposal): the
+        initial-temperature sampling, which draws no ``random()``.
         """
-        mover = self._movable[self.rng.randrange(len(self._movable))]
-        old_site = sites[mover]
-        col = old_site[0] + self.rng.randint(-range_limit, range_limit)
-        row = old_site[1] + self.rng.randint(-range_limit, range_limit)
-        new_site = self.grid.clamp(col, row)
-        if new_site == old_site:
-            return 0.0, False
-        other = occupant[new_site]
-        if other is not None and other in self.locked:
-            return 0.0, False
-
-        sites[mover] = new_site
-        occupant[new_site] = mover
-        occupant[old_site] = other
-        if other is not None:
-            sites[other] = old_site
-        self._last_move = (mover, other, old_site, new_site)
-        delta = engine.apply_move(mover, other, old_site, new_site)
-        return delta, True
-
-    def _undo_move(
-        self,
-        engine,
-        sites: Dict[str, Site],
-        occupant: Dict[Site, Optional[str]],
-    ) -> None:
-        mover, other, old_site, new_site = self._last_move
-        sites[mover] = old_site
-        occupant[old_site] = mover
-        occupant[new_site] = other
-        if other is not None:
-            sites[other] = new_site
-        engine.undo()
-
-    # ------------------------------------------------------------------
-    # Legacy loops (apply/undo engines): unchanged from the original
-    # per-move path, kept as the oracle the speculative loops must match.
-    def _sample_legacy(
-        self,
-        engine,
-        sites: Dict[str, Site],
-        occupant: Dict[Site, Optional[str]],
-        n: int,
-        total: float,
-    ) -> Tuple[List[float], float]:
-        samples: List[float] = []
-        for _ in range(n):
-            delta, applied = self._try_move(engine, sites, occupant, self.grid.cols)
-            samples.append(abs(delta))
-            if applied:
-                total += delta
-        return samples, total
-
-    def _sweep_legacy(
-        self,
-        engine,
-        sites: Dict[str, Site],
-        occupant: Dict[Site, Optional[str]],
-        range_limit: int,
-        moves: int,
-        temperature: float,
-    ) -> Tuple[int, int]:
-        """One temperature sweep via optimistic apply + undo-on-reject."""
-        accepted = 0
-        evaluated = 0
-        for _ in range(moves):
-            delta, applied = self._try_move(engine, sites, occupant, range_limit)
-            if not applied:
-                continue
-            evaluated += 1
-            if delta <= 0 or self.rng.random() < math.exp(-delta / temperature):
-                accepted += 1
-            else:
-                self._undo_move(engine, sites, occupant)
-        return accepted, evaluated
-
-    # ------------------------------------------------------------------
-    # Speculative loops (evaluate/commit engines).  The proposal RNG is
-    # inlined: ``randrange(n)`` and ``randint(-r, r)`` both reduce to
-    # CPython's ``_randbelow_with_getrandbits`` (draw ``bit_length``
-    # bits, reject out-of-range), so drawing through ``getrandbits``
-    # directly produces the exact same bit stream while skipping the
-    # per-call argument validation — every placement stays bit-identical
-    # to the legacy loop, including the RNG stream position.
-    def _sample_speculative(
-        self,
-        engine,
-        sites: Dict[str, Site],
-        occupant: Dict[Site, Optional[str]],
-        n: int,
-        total: float,
-    ) -> Tuple[List[float], float]:
-        rng = self.rng
-        getrandbits = rng.getrandbits
-        movable = self._movable
-        n_mov = len(movable)
-        k_mov = n_mov.bit_length()
-        rl = self.grid.cols
-        span = 2 * rl + 1
-        k_span = span.bit_length()
-        col_hi = self.grid.cols - 1
-        row_hi = self.grid.rows - 1
-        locked = self.locked
-        evaluate = engine.evaluate_move
-        commit = engine.commit
-        samples: List[float] = []
-        for _ in range(n):
-            r = getrandbits(k_mov)
-            while r >= n_mov:
-                r = getrandbits(k_mov)
-            mover = movable[r]
-            old_site = sites[mover]
-            r = getrandbits(k_span)
-            while r >= span:
-                r = getrandbits(k_span)
-            col = old_site[0] - rl + r
-            if col < 0:
-                col = 0
-            elif col > col_hi:
-                col = col_hi
-            r = getrandbits(k_span)
-            while r >= span:
-                r = getrandbits(k_span)
-            row = old_site[1] - rl + r
-            if row < 0:
-                row = 0
-            elif row > row_hi:
-                row = row_hi
-            if col == old_site[0] and row == old_site[1]:
-                samples.append(0.0)
-                continue
-            new_site = (col, row)
-            other = occupant[new_site]
-            if other is not None and other in locked:
-                samples.append(0.0)
-                continue
-            delta = evaluate(mover, other, new_site)
-            commit()
-            sites[mover] = new_site
-            occupant[new_site] = mover
-            occupant[old_site] = other
-            if other is not None:
-                sites[other] = old_site
-            samples.append(abs(delta))
-            total += delta
-        return samples, total
-
-    def _sweep_speculative(
-        self,
-        engine,
-        sites: Dict[str, Site],
-        occupant: Dict[Site, Optional[str]],
-        range_limit: int,
-        moves: int,
-        temperature: float,
-    ) -> Tuple[int, int]:
-        """One temperature sweep via speculative evaluate + commit."""
+        record = deltas is not None
         rng = self.rng
         getrandbits = rng.getrandbits
         rng_random = rng.random
         exp = math.exp
-        movable = self._movable
+        insort = bisect.insort
+        movable = self._movable_idx
         n_mov = len(movable)
         k_mov = n_mov.bit_length()
         span = 2 * range_limit + 1
         k_span = span.bit_length()
-        col_hi = self.grid.cols - 1
+        cols = self.grid.cols
+        col_hi = cols - 1
         row_hi = self.grid.rows - 1
-        locked = self.locked
-        evaluate = engine.evaluate_move
-        commit = engine.commit
+        col_of, row_of, occ = self._col, self._row, self._occ
+        locked = self._locked_mask
+        col_x, row_y = self._col_x, self._row_y
+        contrib, points = self._contrib, self._points
+        xs, ys = self._xs, self._ys
+        weight, cost, pend = self._net_weight, self._cost, self._pend
+        stamp = self._stamp
+        epoch = self._epoch
         accepted = 0
         evaluated = 0
         for _ in range(moves):
             r = getrandbits(k_mov)
             while r >= n_mov:
                 r = getrandbits(k_mov)
-            mover = movable[r]
-            old_site = sites[mover]
+            i = movable[r]
+            c0 = col_of[i]
+            r0 = row_of[i]
             r = getrandbits(k_span)
             while r >= span:
                 r = getrandbits(k_span)
-            col = old_site[0] - range_limit + r
-            if col < 0:
-                col = 0
-            elif col > col_hi:
-                col = col_hi
+            c1 = c0 - range_limit + r
+            if c1 < 0:
+                c1 = 0
+            elif c1 > col_hi:
+                c1 = col_hi
             r = getrandbits(k_span)
             while r >= span:
                 r = getrandbits(k_span)
-            row = old_site[1] - range_limit + r
-            if row < 0:
-                row = 0
-            elif row > row_hi:
-                row = row_hi
-            if col == old_site[0] and row == old_site[1]:
+            r1 = r0 - range_limit + r
+            if r1 < 0:
+                r1 = 0
+            elif r1 > row_hi:
+                r1 = row_hi
+            mx = c1 != c0
+            my = r1 != r0
+            if not (mx or my):
+                if record:
+                    deltas.append(0.0)
                 continue
-            new_site = (col, row)
-            other = occupant[new_site]
-            if other is not None and other in locked:
+            s1 = r1 * cols + c1
+            o = occ[s1]
+            if o >= 0 and locked[o]:
+                if record:
+                    deltas.append(0.0)
                 continue
             evaluated += 1
-            delta = evaluate(mover, other, new_site)
-            if delta <= 0 or rng_random() < exp(-delta / temperature):
-                commit()
-                accepted += 1
-                sites[mover] = new_site
-                occupant[new_site] = mover
-                occupant[old_site] = other
-                if other is not None:
-                    sites[other] = old_site
+            old_x = col_x[c0]
+            new_x = col_x[c1]
+            old_y = row_y[r0]
+            new_y = row_y[r1]
+            epoch += 1
+
+            # Mover's nets: ``n`` points relocate old -> new.
+            delta = 0.0
+            for k, n, nn in contrib[i]:
+                stamp[k] = epoch
+                X = xs[k]
+                if mx:
+                    lo = X[0]
+                    if lo == old_x:
+                        lo = X[n]
+                    if new_x < lo:
+                        lo = new_x
+                    hi = X[-1]
+                    if hi == old_x:
+                        hi = X[nn]
+                    if new_x > hi:
+                        hi = new_x
+                    dx = hi - lo
+                else:
+                    dx = X[-1] - X[0]
+                Y = ys[k]
+                if my:
+                    lo = Y[0]
+                    if lo == old_y:
+                        lo = Y[n]
+                    if new_y < lo:
+                        lo = new_y
+                    hi = Y[-1]
+                    if hi == old_y:
+                        hi = Y[nn]
+                    if new_y > hi:
+                        hi = new_y
+                    dy = hi - lo
+                else:
+                    dy = Y[-1] - Y[0]
+                c = weight[k] * (dx + dy)
+                pend[k] = c
+                delta += c - cost[k]
+
+            # Partner's nets: ``n`` points relocate new -> old.  A net the
+            # mover also sits on needs both relocations at once.
+            if o >= 0:
+                shared = False
+                for k, n, nn in contrib[o]:
+                    if stamp[k] == epoch:
+                        shared = True
+                        continue
+                    X = xs[k]
+                    if mx:
+                        lo = X[0]
+                        if lo == new_x:
+                            lo = X[n]
+                        if old_x < lo:
+                            lo = old_x
+                        hi = X[-1]
+                        if hi == new_x:
+                            hi = X[nn]
+                        if old_x > hi:
+                            hi = old_x
+                        dx = hi - lo
+                    else:
+                        dx = X[-1] - X[0]
+                    Y = ys[k]
+                    if my:
+                        lo = Y[0]
+                        if lo == new_y:
+                            lo = Y[n]
+                        if old_y < lo:
+                            lo = old_y
+                        hi = Y[-1]
+                        if hi == new_y:
+                            hi = Y[nn]
+                        if old_y > hi:
+                            hi = old_y
+                        dy = hi - lo
+                    else:
+                        dy = Y[-1] - Y[0]
+                    c = weight[k] * (dx + dy)
+                    pend[k] = c
+                    delta += c - cost[k]
+                if shared:
+                    delta = self._shared_swap_delta(
+                        i, o, old_x, old_y, new_x, new_y
+                    )
+
+            if record:
+                deltas.append(delta)
+            elif delta > 0 and not rng_random() < exp(-delta / temperature):
+                continue
+
+            # Accept: install the candidate costs and move the points.
+            accepted += 1
+            col_of[i] = c1
+            row_of[i] = r1
+            occ[s1] = i
+            occ[r0 * cols + c0] = o
+            for k in points[i]:
+                cost[k] = pend[k]
+                if mx:
+                    X = xs[k]
+                    X.remove(old_x)
+                    insort(X, new_x)
+                if my:
+                    Y = ys[k]
+                    Y.remove(old_y)
+                    insort(Y, new_y)
+            if o >= 0:
+                col_of[o] = c0
+                row_of[o] = r0
+                for k in points[o]:
+                    cost[k] = pend[k]
+                    if mx:
+                        X = xs[k]
+                        X.remove(new_x)
+                        insort(X, old_x)
+                    if my:
+                        Y = ys[k]
+                        Y.remove(new_y)
+                        insort(Y, old_y)
+        self._epoch = epoch
         return accepted, evaluated
+
+    def _shared_swap_delta(
+        self, i: int, o: int,
+        old_x: float, old_y: float, new_x: float, new_y: float,
+    ) -> float:
+        """Exact delta of swapping ``i`` (at old) with ``o`` (at new) when
+        the two share a net.
+
+        Each shared net's candidate cost is rescanned from its points with
+        both instances relocated; the delta is then re-summed in
+        first-touch order over the candidate costs the sweep staged.
+        """
+        xs, ys, cost, pend = self._xs, self._ys, self._cost, self._pend
+        partner = {k: n for k, n, _nn in self._contrib[o]}
+        delta = 0.0
+        for k, n, _nn in self._contrib[i]:
+            m = partner.pop(k, 0)
+            if m:
+                X = list(xs[k])
+                Y = list(ys[k])
+                for _ in range(n):
+                    X.remove(old_x)
+                    X.append(new_x)
+                    Y.remove(old_y)
+                    Y.append(new_y)
+                for _ in range(m):
+                    X.remove(new_x)
+                    X.append(old_x)
+                    Y.remove(new_y)
+                    Y.append(old_y)
+                pend[k] = self._net_weight[k] * (
+                    (max(X) - min(X)) + (max(Y) - min(Y))
+                )
+            delta += pend[k] - cost[k]
+        for k in partner:
+            delta += pend[k] - cost[k]
+        return delta
 
     # ------------------------------------------------------------------
     def benchmark_kernel(
@@ -1432,31 +615,18 @@ class AnnealingPlacer:
         """Time the raw move kernel: ``n_moves`` proposals at one temperature.
 
         A microbenchmark entry point (no schedule, no per-temperature
-        rebuilds): builds the initial placement, then runs a single
-        fixed-temperature sweep through the engine configured for this
-        placer.  Returns moves proposed/evaluated/accepted, wall
-        seconds, and moves per second.  Placement state is left behind
-        for inspection but no :class:`Placement` is produced.
+        re-sums): builds the initial placement, then runs a single
+        fixed-temperature sweep.  Returns moves proposed/evaluated/
+        accepted, wall seconds, and moves per second.  Placement state is
+        left behind for inspection but no :class:`Placement` is produced.
         """
-        sites = self._initial_sites()
-        occupant: Dict[Site, Optional[str]] = {s: None for s in self.grid.sites()}
-        for name, site in sites.items():
-            occupant[site] = name
-        engine = _ENGINES[self.engine_name](self, sites)
-        self._engine = engine
-        engine.rebuild()
+        self._start(self._initial_sites())
         if not self._movable:
             return {"moves": 0, "evaluated": 0, "accepted": 0,
                     "seconds": 0.0, "moves_per_s": 0.0}
         range_limit = int(max(self.grid.cols, self.grid.rows))
-        sweep = (
-            self._sweep_speculative if engine.speculative
-            else self._sweep_legacy
-        )
         start = time.perf_counter()  # check: allow(DT002) microbenchmark timing
-        accepted, evaluated = sweep(
-            engine, sites, occupant, range_limit, n_moves, temperature
-        )
+        accepted, evaluated = self._sweep(range_limit, n_moves, temperature)
         seconds = time.perf_counter() - start  # check: allow(DT002) microbenchmark timing
         return {
             "moves": n_moves,
@@ -1465,4 +635,3 @@ class AnnealingPlacer:
             "seconds": seconds,
             "moves_per_s": n_moves / seconds if seconds > 0 else 0.0,
         }
-    # ------------------------------------------------------------------

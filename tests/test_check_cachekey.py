@@ -253,8 +253,9 @@ class TestHeadIsCoherent:
         assert model.parents["route_b"] == "packing"
         # The paper-relevant incoherencies this PR fixed stay fixed:
         assert "utilization" in model.keyed["physical"]
-        assert "check" in model.perf_knobs
-        assert "sa_engine" in model.perf_knobs
+        assert model.perf_knobs == {
+            "jobs", "schedule", "use_cache", "observe", "check",
+        }
         # The coherence invariant itself: every stage-read field is
         # either in the stage's key chain or a declared perf knob.
         for stage in model.stages:

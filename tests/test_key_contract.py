@@ -41,10 +41,6 @@ def perturbed(options, name):
         return replace(
             options, schedule="cell" if value != "cell" else "stage"
         )
-    if name == "sa_engine":
-        return replace(
-            options, sa_engine="object" if value != "object" else "array"
-        )
     if isinstance(value, bool):
         return replace(options, **{name: not value})
     if isinstance(value, int):

@@ -10,6 +10,7 @@ produces per-stage read-sets contained in the static model's.
 """
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -145,11 +146,15 @@ class TestAudit:
         assert "incoherence" in messages
 
     def test_perf_knob_read_is_covered(self, tmp_path):
-        # sa_engine is read by the physical stage but excluded from its
-        # key by contract — the knob set covers it.
+        # A stage that reads a perf knob (none does today; the model is
+        # widened by hand) is covered by the knob set even though the
+        # knob is excluded from its key by contract.
+        model = static_stage_model()
+        reads = dict(model.reads, physical=model.reads["physical"] | {"jobs"})
+        model = replace(model, reads=reads)
         path = tmp_path / "kt.jsonl"
-        write_events(path, audit_events([("physical", "sa_engine")]))
-        assert findings_from_keytrace_journal(path) == []
+        write_events(path, audit_events([("physical", "jobs")]))
+        assert findings_from_keytrace_journal(path, model) == []
 
 
 class TestEndToEnd:

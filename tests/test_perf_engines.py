@@ -1,23 +1,26 @@
 """Golden-equivalence tests for the performance kernels.
 
-The two hot paths rewritten for speed — the SA placement cost engine and
-the persistent realization tables — each keep a slow reference
+The hot paths rewritten for speed — the SA placement cost state and the
+persistent realization tables — each keep a slow reference
 implementation.  These tests pin the fast paths to the reference ones
-bit for bit: identical placements and costs for the SA engines, equal
-tables for a persisted load versus a fresh derivation, and identical
-NPN canonicalization for the lookup table versus the exhaustive search.
+bit for bit: identical placements and costs for the annealer versus the
+apply/undo bounding-box oracle (``sa_oracle.py``), pinned physical-stage
+placement digests, equal tables for a persisted load versus a fresh
+derivation, and identical NPN canonicalization for the lookup table
+versus the exhaustive search.
 """
 
+import hashlib
 import os
 import random
 import subprocess
 import sys
+from typing import List
 
 import pytest
 
-import repro.place.sa as sa
 from repro.flow.experiments import build_design
-from repro.flow.flow import run_design
+from repro.flow.flow import _run_physical, run_design, synthesize
 from repro.flow.options import FlowOptions
 from repro.logic.npn import (
     _npn_canonical_exhaustive,
@@ -34,84 +37,62 @@ from repro.synth.realize import (
 )
 
 from conftest import make_ripple_design
+from sa_oracle import OraclePlacer
+
+
+def assert_same_anneal(netlist, **kwargs):
+    """The production placer and the oracle produce identical anneals."""
+    grid = grid_for_netlist(netlist)
+    ref = OraclePlacer(netlist, grid, **kwargs)
+    fast = AnnealingPlacer(netlist, grid, **kwargs)
+    pl_ref = ref.place()
+    pl_fast = fast.place()
+    # Same sites in the same key order (the artifact is iterated and
+    # pickled downstream).
+    assert list(pl_fast.sites.items()) == list(pl_ref.sites.items())
+    # Bit-identical, not approximately equal: the same float operations
+    # in the same order.
+    assert fast.final_cost == ref.final_cost
+    assert fast.net_costs() == ref.net_costs()
+    assert fast.stats == ref.stats
+    # ... and the same RNG draws: the stream position matches too.
+    assert fast.rng.getstate() == ref.rng.getstate()
+    return fast
 
 
 class TestSAEngineEquivalence:
-    """engine="array" must reproduce engine="object" exactly."""
+    """The sorted-list cost state must reproduce the oracle exactly."""
 
     @pytest.mark.parametrize("seed", [0, 3, 11])
     def test_identical_placements_and_costs(self, seed):
         netlist = make_ripple_design(8)
-        p_obj = AnnealingPlacer(
-            netlist, grid_for_netlist(netlist), seed=seed, effort=0.3,
-            engine="object",
-        )
-        pl_obj = p_obj.place()
-        p_arr = AnnealingPlacer(
-            netlist, grid_for_netlist(netlist), seed=seed, effort=0.3,
-            engine="array",
-        )
-        pl_arr = p_arr.place()
-        assert pl_obj.sites == pl_arr.sites
-        # Bit-identical, not approximately equal: the engines perform the
-        # same float operations in the same order.
-        assert p_obj.final_cost == p_arr.final_cost
-        assert p_obj._engine.net_costs() == p_arr._engine.net_costs()
-        # ... and the same RNG draws: the stream position matches too.
-        assert p_obj.rng.getstate() == p_arr.rng.getstate()
+        fast = assert_same_anneal(netlist, seed=seed, effort=0.3)
+        # The ripple design's ports put pads on its nets.
+        assert any(net in fast.pads for net in fast._active_nets)
 
     def test_identical_on_larger_design(self):
-        netlist = build_design("alu", 0.2)
-        p_obj = AnnealingPlacer(
-            netlist, grid_for_netlist(netlist), seed=7, effort=0.1,
-            engine="object",
-        )
-        pl_obj = p_obj.place()
-        p_arr = AnnealingPlacer(
-            netlist, grid_for_netlist(netlist), seed=7, effort=0.1,
-            engine="array",
-        )
-        pl_arr = p_arr.place()
-        assert pl_obj.sites == pl_arr.sites
-        assert p_obj.final_cost == p_arr.final_cost
-
-    def test_scalar_fallback_matches_numpy(self, monkeypatch):
-        """The no-numpy rebuild path is bit-identical to the numpy one."""
-        netlist = make_ripple_design(6)
-        ref = AnnealingPlacer(
-            netlist, grid_for_netlist(netlist), seed=5, effort=0.2,
-            engine="array",
-        )
-        pl_ref = ref.place()
-        monkeypatch.setattr(sa, "_np", None)
-        fallback = AnnealingPlacer(
-            netlist, grid_for_netlist(netlist), seed=5, effort=0.2,
-            engine="array",
-        )
-        pl_fb = fallback.place()
-        assert pl_ref.sites == pl_fb.sites
-        assert ref.final_cost == fallback.final_cost
+        assert_same_anneal(build_design("alu", 0.2), seed=7, effort=0.1)
 
     def test_locked_instances_respected_by_both(self):
-        netlist = make_ripple_design(4)
-        name = next(iter(netlist.instances))
-        for engine in ("object", "array"):
-            placer = AnnealingPlacer(
-                netlist, grid_for_netlist(netlist), seed=1, effort=0.1,
-                locked={name: (0, 0)}, engine=engine,
-            )
-            assert placer.place().sites[name] == (0, 0)
+        netlist = make_ripple_design(6)
+        names = list(netlist.instances)
+        locked = {names[0]: (0, 0), names[3]: (2, 1), names[5]: (1, 2)}
+        fast = assert_same_anneal(netlist, seed=1, effort=0.2, locked=locked)
+        placement = fast._final_sites()
+        for name, site in locked.items():
+            assert placement[name] == site
 
-    def test_engine_env_override(self, monkeypatch):
-        netlist = make_ripple_design(3)
-        monkeypatch.setenv(sa.ENGINE_ENV, "object")
-        placer = AnnealingPlacer(netlist, grid_for_netlist(netlist))
-        assert placer.engine_name == "object"
+    def test_double_pin_design_matches(self):
+        assert_same_anneal(make_double_pin_design(), seed=4, effort=0.5)
 
-    def test_unknown_engine_rejected(self):
-        netlist = make_ripple_design(3)
-        with pytest.raises(ValueError, match="unknown SA cost engine"):
-            AnnealingPlacer(netlist, grid_for_netlist(netlist), engine="bogus")
+    def test_single_instance_net_matches(self):
+        netlist = make_single_instance_net_design()
+        fast = assert_same_anneal(netlist, seed=2, effort=0.3)
+        # The self-loop net is active (two points) but constant, so it is
+        # left out of the contribution lists.
+        k = fast._active_nets.index("loop")
+        assert all(k != kk for entries in fast._contrib for kk, _n, _nn in entries)
+        assert fast.net_costs()["loop"] == 0.0
 
 
 def make_double_pin_design():
@@ -131,162 +112,263 @@ def make_double_pin_design():
     return b.netlist
 
 
-class TestSpeculativeEngineLevel:
-    """evaluate_move + commit must equal apply_move/undo bit for bit.
+def make_single_instance_net_design():
+    """A ripple design plus a gate whose output net feeds only itself.
 
-    These drive the two engines directly (below the placer loop) through
-    identical move sequences — including swaps whose cells share a net,
-    coincident-boundary boxes, and multi-pin contributions — asserting
-    equal deltas after every proposal and equal per-net costs at the
-    end.
+    That net's points all sit on one instance: its cost is constant.
+    """
+    netlist = make_ripple_design(4)
+    template = next(
+        inst for inst in netlist.instances.values()
+        if not inst.is_sequential and len(inst.cell.pins) >= 2
+    )
+    pins = template.cell.pins
+    pin_nets = {pin: netlist.inputs[0] for pin in pins}
+    pin_nets[pins[0]] = "loop"
+    pin_nets[template.cell.output_pin] = "loop"
+    netlist.add_instance(
+        template.cell, pin_nets, config=template.config, name="selfloop"
+    )
+    return netlist
+
+
+class ScriptedRandom(random.Random):
+    """An RNG whose draws are scripted: each ``getrandbits`` call pops
+    the next queued value, each ``random()`` the next queued uniform.
+
+    ``randrange``/``randint`` draw through ``getrandbits``, so the
+    oracle's move loop and the placer's inlined one consume the same
+    script.
     """
 
-    def _setup(self, netlist, seed=0):
+    def __init__(self):
+        super().__init__(0)
+        self.bits: List[int] = []
+        self.uniforms: List[float] = []
+
+    def getrandbits(self, k):
+        value = self.bits.pop(0)
+        assert 0 <= value < (1 << k)
+        return value
+
+    def random(self):
+        return self.uniforms.pop(0)
+
+
+class TestSpeculativeEngineLevel:
+    """Evaluate-then-install must equal the oracle's apply/undo bit for bit.
+
+    Both placers run one-move sweeps from a shared start, driven by the
+    same scripted RNG, so every proposal is chosen by the test: swaps
+    whose cells share a net, moves along a row or column among
+    coincident coordinates, multi-pin contributions.  Accepted moves are
+    run with delta recording (the exact deltas are compared); rejected
+    ones must leave the production state untouched.
+    """
+
+    @staticmethod
+    def _pair(netlist, seed=0):
         grid = grid_for_netlist(netlist)
-        p_obj = AnnealingPlacer(netlist, grid, seed=seed, engine="object")
-        p_arr = AnnealingPlacer(netlist, grid, seed=seed, engine="array")
-        sites_obj = p_obj._initial_sites()
-        sites_arr = p_arr._initial_sites()
-        assert sites_obj == sites_arr
-        eng_obj = sa._ENGINES["object"](p_obj, sites_obj)
-        eng_arr = sa._ENGINES["array"](p_arr, sites_arr)
-        assert eng_obj.rebuild() == eng_arr.rebuild()
-        return p_obj, sites_obj, eng_obj, sites_arr, eng_arr
+        fast = AnnealingPlacer(netlist, grid, seed=seed)
+        ref = OraclePlacer(netlist, grid, seed=seed)
+        sites = fast._initial_sites()
+        ref._start(dict(sites))
+        fast._start(sites)
+        assert fast._total_cost() == ref._total_cost()
+        fast.rng = ScriptedRandom()
+        ref.rng = ScriptedRandom()
+        return fast, ref
+
+    @staticmethod
+    def _state(fast):
+        return (
+            list(fast._cost), list(fast._col), list(fast._row),
+            list(fast._occ), [list(X) for X in fast._xs],
+            [list(Y) for Y in fast._ys],
+        )
+
+    @staticmethod
+    def _assert_lists_exact(fast, ref):
+        """Each net's sorted lists hold exactly its current points.
+
+        Constant nets (every point on one instance) are exempt: no move
+        touches their lists, and their cost is zero wherever they sit.
+        """
+        moving = {k for entries in fast._contrib for k, _n, _nn in entries}
+        for k, net in enumerate(fast._active_nets):
+            if k not in moving:
+                continue
+            points = ref.engine._net_points(net)
+            assert fast._xs[k] == sorted(p[0] for p in points)
+            assert fast._ys[k] == sorted(p[1] for p in points)
+
+    def _propose(self, fast, ref, mover, new_site, accept):
+        """Propose ``mover -> new_site`` on both; returns the oracle's
+        (accepted, evaluated, delta), ``delta`` None when not recorded."""
+        grid = fast.grid
+        reach = max(grid.cols, grid.rows)
+        old_site = ref._sites[mover]
+        script = [
+            fast._movable.index(mover),
+            new_site[0] - old_site[0] + reach,
+            new_site[1] - old_site[1] + reach,
+        ]
+        for placer in (fast, ref):
+            placer.rng.bits[:] = script
+            placer.rng.uniforms[:] = [1.0]
+        if accept:
+            d_fast: List[float] = []
+            d_ref: List[float] = []
+            out_fast = fast._sweep(reach, 1, 0.0, d_fast)
+            out_ref = ref._sweep(reach, 1, 0.0, d_ref)
+            assert d_fast == d_ref
+            delta = d_ref[0]
+        else:
+            before = self._state(fast)
+            out_fast = fast._sweep(reach, 1, 1.0)
+            out_ref = ref._sweep(reach, 1, 1.0)
+            delta = None
+            if out_ref == (0, 1):  # rejected
+                assert self._state(fast) == before
+        assert out_fast == out_ref
+        for placer in (fast, ref):
+            assert not placer.rng.bits
+        assert fast.rng.uniforms == ref.rng.uniforms
+        assert fast.net_costs() == ref.net_costs()
+        assert fast._final_sites() == ref._final_sites()
+        return out_ref + (delta,)
 
     def _drive(self, netlist, seed=0, n_moves=400):
-        p_obj, sites_obj, eng_obj, sites_arr, eng_arr = self._setup(
-            netlist, seed
-        )
-        grid = p_obj.grid
-        occupant = {s: None for s in grid.sites()}
-        for name, site in sites_obj.items():
-            occupant[site] = name
+        fast, ref = self._pair(netlist, seed)
+        grid = fast.grid
         rng = random.Random(1234)
-        movable = p_obj._movable
-        proposals = swaps = 0
+        movable = fast._movable
+        shared = rejected = 0
         for _ in range(n_moves):
             mover = movable[rng.randrange(len(movable))]
             new_site = (rng.randrange(grid.cols), rng.randrange(grid.rows))
-            old_site = sites_obj[mover]
-            if new_site == old_site:
-                continue
-            other = occupant[new_site]
-            proposals += 1
-            swaps += other is not None
-            # Object-engine contract: the swap is made in ``sites``
-            # first, then applied (and reverted around undo).
-            sites_obj[mover] = new_site
-            if other is not None:
-                sites_obj[other] = old_site
-            delta_obj = eng_obj.apply_move(mover, other, old_site, new_site)
-            delta_arr = eng_arr.evaluate_move(mover, other, new_site)
-            assert delta_obj == delta_arr
-            if rng.random() < 0.5:  # accept
-                eng_arr.commit()
-                sites_arr[mover] = new_site
-                if other is not None:
-                    sites_arr[other] = old_site
-                occupant[new_site] = mover
-                occupant[old_site] = other
-            else:  # reject
-                eng_obj.undo()
-                sites_obj[mover] = old_site
-                if other is not None:
-                    sites_obj[other] = new_site
-            assert sites_obj == sites_arr
-        assert proposals and swaps, "drive never exercised the move paths"
-        assert eng_obj.net_costs() == eng_arr.net_costs()
-        assert eng_obj.rebuild() == eng_arr.rebuild()
+            other = ref._occupant[new_site]
+            if other is not None and other != mover:
+                nets = {net for net, _ in ref._contrib_of[mover]}
+                shared += any(net in nets for net, _ in ref._contrib_of[other])
+            accepted, evaluated, _delta = self._propose(
+                fast, ref, mover, new_site, accept=rng.random() < 0.5
+            )
+            rejected += evaluated - accepted
+        self._assert_lists_exact(fast, ref)
+        assert fast._total_cost() == ref._total_cost()
+        return shared, rejected
 
     def test_random_drive_matches_apply_undo(self):
-        self._drive(make_ripple_design(6), seed=2)
+        shared, rejected = self._drive(make_ripple_design(6), seed=2)
+        assert shared and rejected, "drive never exercised the move paths"
 
     def test_double_pin_contributions_match(self):
         self._drive(make_double_pin_design(), seed=1)
+        self._drive(make_single_instance_net_design(), seed=3)
 
     def test_shared_net_swap_matches(self):
-        """A swap between two cells on the same net merges per-net moves."""
+        """Swapping two cells on the same net relocates both at once."""
         netlist = make_ripple_design(4)
-        p_obj, sites_obj, eng_obj, sites_arr, eng_arr = self._setup(netlist)
-        pair = None
+        fast, ref = self._pair(netlist)
+        rescans = []
+        fast._shared_swap_delta = lambda *args: rescans.append(args) or (
+            AnnealingPlacer._shared_swap_delta(fast, *args)
+        )
+        swaps = 0
         for net in netlist.nets.values():
-            if net.driver is None or not net.sinks:
+            if net.driver is None:
                 continue
-            a, b = net.driver[0], net.sinks[0][0]
-            if a != b and a in sites_obj and b in sites_obj:
-                pair = (a, b)
-                break
-        assert pair is not None
-        a, b = pair
-        old_site, new_site = sites_obj[a], sites_obj[b]
-        sites_obj[a] = new_site
-        sites_obj[b] = old_site
-        delta_obj = eng_obj.apply_move(a, b, old_site, new_site)
-        delta_arr = eng_arr.evaluate_move(a, b, new_site)
-        assert delta_obj == delta_arr
-        eng_arr.commit()
-        assert eng_obj.net_costs() == eng_arr.net_costs()
+            a = net.driver[0]
+            for b, _pin in net.sinks:
+                if b == a or a not in fast._movable:
+                    continue
+                # Swap there and back: two shared-net evaluations.
+                for _ in range(2):
+                    self._propose(fast, ref, a, ref._sites[b], accept=True)
+                    swaps += 1
+        assert swaps > 4 and len(rescans) == swaps
+        self._assert_lists_exact(fast, ref)
 
     def test_coincident_boundary_counts_match(self):
-        """Moves among coincident coordinates (multi-point boundaries)."""
+        """Moves along a row, then a column, among coincident coordinates."""
         netlist = make_ripple_design(5)
-        p_obj, sites_obj, eng_obj, sites_arr, eng_arr = self._setup(netlist)
-        grid = p_obj.grid
-        occupant = {s: None for s in grid.sites()}
-        for name, site in sites_obj.items():
-            occupant[site] = name
+        fast, ref = self._pair(netlist)
+        grid = fast.grid
         # Walk one instance along its own row and column: every step
-        # keeps one axis coordinate coincident with other cells in that
-        # row/column, exercising boundary counts > 1 on add and remove.
-        mover = p_obj._movable[0]
-        steps = [(c, sites_obj[mover][1]) for c in range(grid.cols)]
-        steps += [(sites_obj[mover][0], r) for r in range(grid.rows)]
-        for new_site in steps:
-            old_site = sites_obj[mover]
-            if new_site == old_site:
-                continue
-            other = occupant[new_site]
-            sites_obj[mover] = new_site
-            if other is not None:
-                sites_obj[other] = old_site
-            delta_obj = eng_obj.apply_move(mover, other, old_site, new_site)
-            delta_arr = eng_arr.evaluate_move(mover, other, new_site)
-            assert delta_obj == delta_arr
-            eng_arr.commit()
-            sites_arr[mover] = new_site
-            if other is not None:
-                sites_arr[other] = old_site
-            occupant[new_site] = mover
-            occupant[old_site] = other
-        assert eng_obj.net_costs() == eng_arr.net_costs()
+        # keeps one coordinate coincident with other cells in that
+        # row/column, so boundaries hold several points on both ends.
+        mover = fast._movable[0]
+        col, row = ref._sites[mover]
+        steps = [(c, row) for c in range(grid.cols)]
+        steps += [(col, r) for r in range(grid.rows)]
+        for new_site in steps + steps[::-1]:
+            self._propose(fast, ref, mover, new_site, accept=True)
+            self._assert_lists_exact(fast, ref)
 
     def test_rejected_evaluation_leaves_state_untouched(self):
         netlist = make_ripple_design(4)
-        _p, sites_obj, _eng_obj, _sites_arr, eng_arr = self._setup(netlist)
-        mover = _p._movable[0]
-        target = next(
-            s for s in _p.grid.sites() if s != sites_obj[mover]
-        )
-        before_costs = eng_arr.net_costs()
-        before_pos = (list(eng_arr.pos_x), list(eng_arr.pos_y))
-        before_boxes = (
-            list(eng_arr.xmin), list(eng_arr.xmax),
-            list(eng_arr.ymin), list(eng_arr.ymax),
-            list(eng_arr.n_xmin), list(eng_arr.n_xmax),
-            list(eng_arr.n_ymin), list(eng_arr.n_ymax),
-        )
-        occupant = {}
-        for name, site in sites_obj.items():
-            occupant[site] = name
-        eng_arr.evaluate_move(mover, occupant.get(target), target)
-        assert eng_arr.net_costs() == before_costs
-        assert (list(eng_arr.pos_x), list(eng_arr.pos_y)) == before_pos
-        assert before_boxes == (
-            list(eng_arr.xmin), list(eng_arr.xmax),
-            list(eng_arr.ymin), list(eng_arr.ymax),
-            list(eng_arr.n_xmin), list(eng_arr.n_xmax),
-            list(eng_arr.n_ymin), list(eng_arr.n_ymax),
-        )
+        fast, ref = self._pair(netlist)
+        rejected = 0
+        for mover in fast._movable:
+            for site in fast.grid.sites():
+                if site == ref._sites[mover]:
+                    continue
+                accepted, evaluated, _ = self._propose(
+                    fast, ref, mover, site, accept=False
+                )
+                rejected += evaluated - accepted
+        assert rejected
+        self._assert_lists_exact(fast, ref)
+
+
+#: sha256 of repr((list(sites.items()), placement_stats, repr(final
+#: cost))) of the physical stage per (design, arch) at scale 0.25,
+#: place_effort 0.2, recorded on the boundary-count engine.
+PINNED_PLACEMENTS = {
+    "alu/granular":
+        "f5a42dae591bfbf4ab4cb8374be4a70f5a14099416b73cc156a1ad7cefff2174",
+    "alu/lut":
+        "b36a02aec563a5ed433ee5f90abf4b3ff70dda2a2c1924d47852b76393a1dd75",
+    "firewire/granular":
+        "82062ac6af230f5bd60f84848e2190ef6817dd40dd83cc3b39888d2eda8e51cf",
+    "firewire/lut":
+        "86c42a4bb9c0b7f9ff8da0f7b895e53e8e6a5e4ba0701375640b80e17ed8a5cf",
+    "fpu/granular":
+        "d08aeddf70c0ac500727689f8945f485d1c00ed8a15288054766b796d2253bf7",
+    "fpu/lut":
+        "ff826401e909be10e0b9d01790664484cd841a216be5c18bde555ec4b4d0337c",
+    "netswitch/granular":
+        "0107c424c9a5e494c5dcdc34f8f3ec95ed6ce29483923c74f3d9f3b743ccb3ed",
+    "netswitch/lut":
+        "802c1df842ce6e3a8594eefe109aca8cae93ca0c6eb64f6fb66fb1ee16c27b49",
+}
+
+
+@pytest.mark.parametrize("cell", sorted(PINNED_PLACEMENTS))
+def test_pinned_placement_digest(cell, monkeypatch):
+    design, arch = cell.split("/")
+    final_costs: List[float] = []
+    place = AnnealingPlacer.place
+
+    def recording_place(self):
+        placement = place(self)
+        final_costs.append(self.final_cost)
+        return placement
+
+    monkeypatch.setattr(AnnealingPlacer, "place", recording_place)
+    options = FlowOptions(arch=arch, place_effort=0.2, use_cache=False)
+    physical = _run_physical(
+        synthesize(build_design(design, scale=0.25), options), options
+    )
+    blob = repr((
+        list(physical.placement.sites.items()),
+        physical.placement_stats,
+        repr(final_costs[-1]),
+    ))
+    digest = hashlib.sha256(blob.encode()).hexdigest()
+    assert digest == PINNED_PLACEMENTS[cell]
+    assert physical.placement_stats["engine"] == "array"
 
 
 class TestPersistentRealizationTables:
