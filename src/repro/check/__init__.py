@@ -11,10 +11,9 @@ Two analyzer families share one findings model:
   across blocking calls, unguarded shared writes, and condition-variable
   misuse (``CC``), validated at runtime by the opt-in
   :mod:`repro.check.lockwatch` sanitizer (``REPRO_LOCKWATCH=1``), and
-  :mod:`repro.check.cachekey` for cache-key coherence and stage purity
-  (``CK``) — per-stage options read-sets diffed against the
-  ``stage_cache_key`` chain — validated at runtime by the opt-in
-  :mod:`repro.check.keytrace` tracer (``REPRO_KEYTRACE=1``).
+  :mod:`repro.check.cachekey` for stage purity (``CK``): ambient inputs
+  in code reachable from a flow stage.  Cache-key coherence needs no
+  analysis — each stage sees only the options slice its key hashes.
 
 Entry points: ``repro check`` on the CLI, ``FlowOptions(check=True)``
 inside the flow, or the functions re-exported here.
@@ -35,12 +34,7 @@ from .equiv_rules import check_equivalence
 from .selflint import lint_paths, lint_source
 from .concurrency import analyze_paths, analyze_source
 from .lockwatch import findings_from_journal
-from .cachekey import (
-    StageKeyModel,
-    analyze_cache_keys,
-    static_stage_model,
-)
-from .keytrace import findings_from_keytrace_journal
+from .cachekey import analyze_cache_keys
 from .runner import (
     CHECK_STAGES,
     check_design_run,
@@ -72,10 +66,7 @@ __all__ = [
     "analyze_paths",
     "analyze_source",
     "findings_from_journal",
-    "StageKeyModel",
     "analyze_cache_keys",
-    "static_stage_model",
-    "findings_from_keytrace_journal",
     "CHECK_STAGES",
     "check_design_run",
     "check_stage",

@@ -1,55 +1,30 @@
-"""Cache-key coherence and stage-purity analysis (family ``CK``).
+"""Stage-purity analysis (family ``CK``, rule ``CK003``).
 
-Every scaling layer added since PR 3 — the content-addressed stage
-cache, scheduler-level stage dedup, serve-side request coalescing and
-warm drain/resume — rests on two hand-maintained contracts: each
-stage's key in ``flow.py:stage_cache_key`` lists *exactly* the
-:class:`~repro.flow.options.FlowOptions` fields that stage reads, and
-stage compute is pure (no ambient env/clock/RNG/global/file reads).
-This pass makes both contracts machine-checked, the way the source
-paper proves PLB coverage by exhaustively enumerating the 256 3-input
-functions: it enumerates every options-attribute read reachable from
-``compute_stage``'s per-stage entry points and diffs the result against
-the literal field lists in the key builder.
+The content-addressed stage cache, scheduler-level stage dedup,
+serve-side request coalescing and warm drain/resume all rest on one
+contract: a stage's result is a pure function of its upstream artifacts
+and its options slice (:data:`repro.flow.options.STAGE_OPTIONS`) — the
+inputs its cache key hashes.  The slices make an unkeyed *options* read
+impossible by construction; this pass guards the other way stage code
+can see state its key cannot, ambient inputs.
 
-``CK001``
-    A field read by a stage (directly or through the call graph along
-    edges where the options object is passed) but missing from that
-    stage's key *chain* is a stale-cache / wrong-coalesce hazard: two
-    runs differing only in that field would share a cache entry.
-``CK002``
-    The converse drifts too: a key component the stage never reads
-    causes spurious invalidation, and an options field neither read nor
-    keyed anywhere is dead configuration silently accepted by the job
-    API.
 ``CK003``
     Impure reads in stage-reachable code — ``os.environ``, wall-clock
     calls, module-level ``random``, mutable module globals written by a
     *different* function, file reads outside the stage cache — break
     the purity that makes caching and cross-process scheduling sound.
-    Documented bit-identical knobs carry ``# check: allow(CK003)``.
-``CK004``
-    :data:`repro.flow.options.PERF_KNOBS` is the single source of truth
-    for result-neutral fields; it must stay consistent with the key
-    builders, ``request_key``'s documented contract, and the serve
-    layer's submittable/exempt lists.
+    Documented bit-identical sites carry ``# check: allow(CK003)``, the
+    same inline suppression as the DT and CC families.
 
-Findings on deliberate, justified sites are suppressed with an inline
-``# check: allow(CKnnn)`` comment, same as the DT and CC families.  The
-static read-sets are validated against *observed* executions by the
-runtime tracer in :mod:`repro.check.keytrace` (rule ``CK005``).
-
-Scope and soundness: the read-set analysis follows calls where the
-options object is passed as a whole (positionally or by keyword) and
-records attribute reads through any tainted local name; extracting a
-field's *value* and passing it on ends the taint, by design — the read
-happened at the extraction site.  The purity pass follows all
-resolvable calls (module functions, imported symbols, ``self.m()``,
-constructor-bound locals) from the same entry points.  ``repro.check``
-and ``repro.obs`` are outside the model (the analyzer itself, and a
-tracing layer that is bit-identical by design); the cache module is
-exempt from CK003 because its file I/O *is* the content-addressed
-boundary under audit.
+Scope: the pass anchors on the ``if stage == "...": return fn(...)``
+branches of ``compute_stage`` and follows every resolvable call (module
+functions, imported symbols, ``self.m()``, constructor-bound locals)
+from those entry points.  A tree without the anchors yields no
+findings, so the tests pin the reachable set of the shipped flow.
+``repro.check`` and ``repro.obs`` are outside the model (the analyzer
+itself, and a tracing layer that is bit-identical by design); the cache
+module is exempt because its file I/O *is* the content-addressed
+boundary.
 """
 
 from __future__ import annotations
@@ -57,35 +32,15 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import (
-    Dict,
-    FrozenSet,
-    Iterable,
-    List,
-    Optional,
-    Set,
-    Tuple,
-)
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from .findings import Finding, Severity
-from .rules import Rule, rule
+from .rules import rule
 from .selflint import default_lint_root, suppressed_lines
 
-CK001 = rule(
-    "CK001", Severity.ERROR, "self",
-    "every options field a stage reads must be in its key chain",
-)
-CK002 = rule(
-    "CK002", Severity.WARNING, "self",
-    "no never-read key components and no dead options fields",
-)
 CK003 = rule(
     "CK003", Severity.ERROR, "self",
     "no ambient reads (env/clock/RNG/globals/files) in stage code",
-)
-CK004 = rule(
-    "CK004", Severity.ERROR, "self",
-    "PERF_KNOBS agrees with key builders and the serve lists",
 )
 
 #: Top-level subpackages excluded from the call model: ``check`` is the
@@ -136,22 +91,9 @@ class _FnInfo:
     qualname: str              # "mod:func" or "mod:Cls.method"
     module: str
     cls: Optional[str]
-    name: str
     filename: str
     lineno: int
     node: ast.FunctionDef
-    params: List[str] = field(default_factory=list)
-
-
-@dataclass
-class _Entry:
-    """One ``compute_stage`` dispatch branch: stage -> compute call."""
-
-    stage: str
-    module: str
-    call: ast.Call
-    options_name: str
-    lineno: int
 
 
 @dataclass
@@ -166,71 +108,8 @@ class _ModuleInfo:
     mutable_globals: Dict[str, int] = field(default_factory=dict)
 
 
-@dataclass(frozen=True)
-class StageKeyModel:
-    """The statically derived cache-key contract, for external audits.
-
-    ``reads`` maps each stage to the options fields its entry point
-    reaches transitively; ``keyed`` to the fields its
-    ``stage_cache_key`` branch hashes.  :mod:`repro.check.keytrace`
-    audits observed executions against this model (CK005).
-    """
-
-    fields: FrozenSet[str]
-    perf_knobs: FrozenSet[str]
-    stages: Tuple[str, ...]
-    keyed: Dict[str, FrozenSet[str]]
-    reads: Dict[str, FrozenSet[str]]
-    parents: Dict[str, Optional[str]]
-
-    def keyed_chain(self, stage: str) -> FrozenSet[str]:
-        """Fields keyed by ``stage`` or any ancestor in the chain."""
-        out: Set[str] = set()
-        cursor: Optional[str] = stage
-        seen: Set[str] = set()
-        while cursor is not None and cursor not in seen:
-            seen.add(cursor)
-            out |= self.keyed.get(cursor, frozenset())
-            cursor = self.parents.get(cursor)
-        return frozenset(out)
-
-
-def _pos_params(fn: ast.FunctionDef) -> List[str]:
-    args = fn.args
-    return [a.arg for a in list(args.posonlyargs) + list(args.args)]
-
-
-def _all_params(fn: ast.FunctionDef) -> List[ast.arg]:
-    args = fn.args
-    return (
-        list(args.posonlyargs) + list(args.args) + list(args.kwonlyargs)
-    )
-
-
-def _annotation_name(node: Optional[ast.AST]) -> Optional[str]:
-    if isinstance(node, ast.Name):
-        return node.id
-    if isinstance(node, ast.Attribute):
-        return node.attr
-    if isinstance(node, ast.Constant) and isinstance(node.value, str):
-        return node.value.rsplit(".", 1)[-1]
-    return None
-
-
-def _options_param(fn: ast.FunctionDef) -> str:
-    """The parameter carrying the FlowOptions object, by annotation or
-    by the conventional name ``options``."""
-    for arg in _all_params(fn):
-        if _annotation_name(arg.annotation) == "FlowOptions":
-            return arg.arg
-    for arg in _all_params(fn):
-        if arg.arg == "options":
-            return arg.arg
-    return "options"
-
-
 def _stage_eq(test: ast.expr) -> Optional[str]:
-    """``stage == "name"`` comparisons in dispatch/key-builder code."""
+    """``stage == "name"`` comparisons in dispatch code."""
     if not isinstance(test, ast.Compare):
         return None
     if len(test.ops) != 1 or not isinstance(test.ops[0], ast.Eq):
@@ -240,44 +119,6 @@ def _stage_eq(test: ast.expr) -> Optional[str]:
         if isinstance(right, ast.Constant) and isinstance(right.value, str):
             return right.value
     return None
-
-
-def _const_str_seq(node: ast.AST) -> Optional[List[str]]:
-    """A literal tuple/list/set of strings, or None."""
-    if isinstance(node, ast.Call):
-        fn = node.func
-        name = fn.id if isinstance(fn, ast.Name) else None
-        if name in ("frozenset", "tuple", "set", "list") and node.args:
-            return _const_str_seq(node.args[0])
-        return None
-    if not isinstance(node, (ast.Tuple, ast.List, ast.Set)):
-        return None
-    out: List[str] = []
-    for elt in node.elts:
-        if not isinstance(elt, ast.Constant):
-            return None
-        if not isinstance(elt.value, str):
-            return None
-        out.append(elt.value)
-    return out
-
-
-def _const_parent_map(node: ast.AST) -> Optional[Dict[str, Optional[str]]]:
-    """A literal ``{str: str|None}`` dict, or None."""
-    if not isinstance(node, ast.Dict):
-        return None
-    out: Dict[str, Optional[str]] = {}
-    for key, value in zip(node.keys, node.values):
-        if not isinstance(key, ast.Constant):
-            return None
-        if not isinstance(key.value, str):
-            return None
-        if not isinstance(value, ast.Constant):
-            return None
-        if value.value is not None and not isinstance(value.value, str):
-            return None
-        out[key.value] = value.value
-    return out
 
 
 def _is_mutable_literal(node: ast.AST) -> bool:
@@ -290,7 +131,7 @@ def _is_mutable_literal(node: ast.AST) -> bool:
 
 
 class _Model:
-    """The whole-program model the CK findings are computed from."""
+    """The whole-program call model the CK003 findings are computed from."""
 
     def __init__(self) -> None:
         self.modules: Dict[str, _ModuleInfo] = {}
@@ -298,25 +139,10 @@ class _Model:
         self.by_bare: Dict[str, str] = {}
         #: class name -> method name -> function qualname.
         self.classes: Dict[str, Dict[str, str]] = {}
-        # -- anchors -----------------------------------------------------
-        self.options_fields: List[Tuple[str, int]] = []
-        self.options_file: Optional[str] = None
-        self.perf_knobs: Optional[Set[str]] = None
-        self.perf_knobs_site: Optional[Tuple[str, int]] = None
-        self.stages: List[str] = []
-        self.key_parent: Dict[str, Optional[str]] = {}
-        #: stage -> options field -> first keyed-read lineno.
-        self.keyed: Dict[str, Dict[str, int]] = {}
-        self.key_file: Optional[str] = None
-        self.entries: Dict[str, _Entry] = {}
-        self.request_key_doc: Optional[str] = None
-        self.request_key_site: Optional[Tuple[str, int]] = None
-        self.submittable_knobs: Optional[Set[str]] = None
-        self.submittable_knobs_site: Optional[Tuple[str, int]] = None
-        self.submittable_options: Optional[Set[str]] = None
-        self.submittable_options_site: Optional[Tuple[str, int]] = None
+        #: stage -> (dispatching module, entry call in compute_stage).
+        self.entries: Dict[str, Tuple[str, ast.Call]] = {}
 
-    # -- phase 1: declaration scan -------------------------------------
+    # -- declaration scan ----------------------------------------------
 
     def add_module(
         self, source: str, filename: str, modname: Optional[str] = None
@@ -326,7 +152,7 @@ class _Model:
         try:
             tree = ast.parse(source, filename=filename)
         except SyntaxError as exc:
-            return CK004.finding(
+            return CK003.finding(
                 f"{filename}:{exc.lineno or 0}",
                 f"not parseable: {exc.msg}",
             )
@@ -343,22 +169,19 @@ class _Model:
                 for alias in node.names:
                     local = alias.asname or alias.name
                     info.imports_sym[local] = (target, alias.name)
-            elif isinstance(node, ast.Assign):
-                self._scan_global(
-                    info, node,
-                    [t.id for t in node.targets
-                     if isinstance(t, ast.Name)],
-                    node.value,
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = (
+                    node.targets if isinstance(node, ast.Assign)
+                    else [node.target]
                 )
-            elif isinstance(node, ast.AnnAssign):
-                # Annotated module globals (STAGE_KEY_PARENT and
-                # friends carry type annotations).
-                if isinstance(node.target, ast.Name) and (
-                    node.value is not None
+                if node.value is not None and _is_mutable_literal(
+                    node.value
                 ):
-                    self._scan_global(
-                        info, node, [node.target.id], node.value,
-                    )
+                    for target in targets:
+                        if isinstance(target, ast.Name):
+                            info.mutable_globals.setdefault(
+                                target.id, node.lineno
+                            )
             elif isinstance(node, ast.ClassDef):
                 self._add_class(info, node)
             elif isinstance(node, ast.FunctionDef):
@@ -375,62 +198,7 @@ class _Model:
             base = base + node.module.split(".")
         return ".".join(base)
 
-    def _scan_global(
-        self,
-        info: _ModuleInfo,
-        node: ast.stmt,
-        names: List[str],
-        value: ast.expr,
-    ) -> None:
-        if not names:
-            return
-        name = names[0]
-        site = (info.filename, node.lineno)
-        if name == "STAGES" and not self.stages:
-            self.stages = _const_str_seq(value) or []
-            return
-        if name == "STAGE_KEY_PARENT" and not self.key_parent:
-            self.key_parent = _const_parent_map(value) or {}
-            return
-        if name == "PERF_KNOBS" and self.perf_knobs is None:
-            seq = _const_str_seq(value)
-            if seq is not None:
-                self.perf_knobs = set(seq)
-                self.perf_knobs_site = site
-            return
-        if (
-            name == "_SUBMITTABLE_PERF_KNOBS"
-            and self.submittable_knobs is None
-        ):
-            seq = _const_str_seq(value)
-            if seq is not None:
-                self.submittable_knobs = set(seq)
-                self.submittable_knobs_site = site
-            return
-        if (
-            name == "_SUBMITTABLE_OPTIONS"
-            and self.submittable_options is None
-        ):
-            seq = _const_str_seq(value)
-            if seq is not None:
-                self.submittable_options = set(seq)
-                self.submittable_options_site = site
-            return
-        if _is_mutable_literal(value):
-            for target in names:
-                info.mutable_globals.setdefault(target, node.lineno)
-
     def _add_class(self, info: _ModuleInfo, node: ast.ClassDef) -> None:
-        if node.name == "FlowOptions" and not self.options_fields:
-            self.options_file = info.filename
-            for stmt in node.body:
-                if isinstance(stmt, ast.AnnAssign) and isinstance(
-                    stmt.target, ast.Name
-                ):
-                    if not stmt.target.id.startswith("_"):
-                        self.options_fields.append(
-                            (stmt.target.id, stmt.lineno)
-                        )
         methods = self.classes.setdefault(node.name, {})
         for item in node.body:
             if not isinstance(item, ast.FunctionDef):
@@ -438,8 +206,7 @@ class _Model:
             qualname = f"{info.name}:{node.name}.{item.name}"
             self.functions[qualname] = _FnInfo(
                 qualname=qualname, module=info.name, cls=node.name,
-                name=item.name, filename=info.filename,
-                lineno=item.lineno, node=item, params=_pos_params(item),
+                filename=info.filename, lineno=item.lineno, node=item,
             )
             methods.setdefault(item.name, qualname)
 
@@ -449,48 +216,16 @@ class _Model:
         qualname = f"{info.name}:{node.name}"
         self.functions[qualname] = _FnInfo(
             qualname=qualname, module=info.name, cls=None,
-            name=node.name, filename=info.filename, lineno=node.lineno,
-            node=node, params=_pos_params(node),
+            filename=info.filename, lineno=node.lineno, node=node,
         )
         self.by_bare.setdefault(node.name, qualname)
-        if node.name == "stage_cache_key":
-            self._scan_key_builder(info, node)
-        elif node.name == "compute_stage":
+        if node.name == "compute_stage":
             self._scan_dispatch(info, node)
-        elif node.name == "request_key":
-            self.request_key_doc = ast.get_docstring(node) or ""
-            self.request_key_site = (info.filename, node.lineno)
-
-    def _scan_key_builder(
-        self, info: _ModuleInfo, fn: ast.FunctionDef
-    ) -> None:
-        """Extract keyed(S): options fields hashed per stage branch."""
-        if self.key_file is not None:
-            return
-        self.key_file = info.filename
-        opts = _options_param(fn)
-        for node in ast.walk(fn):
-            if not isinstance(node, ast.If):
-                continue
-            stage = _stage_eq(node.test)
-            if stage is None:
-                continue
-            reads: Dict[str, int] = {}
-            for stmt in node.body:
-                for sub in ast.walk(stmt):
-                    if (
-                        isinstance(sub, ast.Attribute)
-                        and isinstance(sub.value, ast.Name)
-                        and sub.value.id == opts
-                    ):
-                        reads.setdefault(sub.attr, sub.lineno)
-            self.keyed.setdefault(stage, reads)
 
     def _scan_dispatch(
         self, info: _ModuleInfo, fn: ast.FunctionDef
     ) -> None:
         """Extract per-stage entry calls from ``compute_stage``."""
-        opts = _options_param(fn)
         for node in ast.walk(fn):
             if not isinstance(node, ast.If):
                 continue
@@ -502,11 +237,9 @@ class _Model:
                     if isinstance(sub, ast.Return) and isinstance(
                         sub.value, ast.Call
                     ):
-                        self.entries.setdefault(stage, _Entry(
-                            stage=stage, module=info.name,
-                            call=sub.value, options_name=opts,
-                            lineno=sub.value.lineno,
-                        ))
+                        self.entries.setdefault(
+                            stage, (info.name, sub.value)
+                        )
                         break
 
     # -- call resolution -----------------------------------------------
@@ -562,131 +295,34 @@ class _Model:
         info: _FnInfo,
         call: ast.Call,
         bindings: Dict[str, str],
-    ) -> Tuple[Optional[_FnInfo], int]:
-        """Resolve one call; returns (callee, positional offset)."""
+    ) -> Optional[_FnInfo]:
+        """Resolve one call to the function it invokes, if known."""
         fn = call.func
         if isinstance(fn, ast.Name):
-            target, cls = self._resolve_name(info.module, fn.id)
-            return target, 1 if cls is not None else 0
+            return self._resolve_name(info.module, fn.id)[0]
         if not isinstance(fn, ast.Attribute):
-            return None, 0
+            return None
         owner = fn.value
         if isinstance(owner, ast.Name):
             if owner.id == "self" and info.cls is not None:
                 methods = self.classes.get(info.cls, {})
-                return self._function(methods.get(fn.attr)), 1
+                return self._function(methods.get(fn.attr))
             if owner.id in bindings:
                 methods = self.classes.get(bindings[owner.id], {})
-                return self._function(methods.get(fn.attr)), 1
+                return self._function(methods.get(fn.attr))
             mod = self.modules.get(info.module)
             if mod is not None:
                 alias = mod.imports_mod.get(owner.id)
                 if alias is not None and alias in self.modules:
-                    return self._function(f"{alias}:{fn.attr}"), 0
+                    return self._function(f"{alias}:{fn.attr}")
                 if owner.id in mod.imports_sym:
                     tmod, sym = mod.imports_sym[owner.id]
                     sub = f"{tmod}.{sym}" if tmod else sym
                     if sub in self.modules:
-                        return self._function(f"{sub}:{fn.attr}"), 0
-        return None, 0
+                        return self._function(f"{sub}:{fn.attr}")
+        return None
 
-    def _tainted_callee_params(
-        self,
-        callee: _FnInfo,
-        offset: int,
-        call: ast.Call,
-        tainted: Set[str],
-    ) -> FrozenSet[str]:
-        """Callee params that receive a tainted name at this call."""
-        out: Set[str] = set()
-        for index, arg in enumerate(call.args):
-            if isinstance(arg, ast.Name) and arg.id in tainted:
-                slot = index + offset
-                if slot < len(callee.params):
-                    out.add(callee.params[slot])
-        for keyword in call.keywords:
-            if keyword.arg is None:
-                continue
-            value = keyword.value
-            if isinstance(value, ast.Name) and value.id in tainted:
-                out.add(keyword.arg)
-        return frozenset(out)
-
-    # -- phase 2: per-stage options read-sets --------------------------
-
-    def _taint_scan(
-        self, info: _FnInfo, tainted: FrozenSet[str]
-    ) -> Tuple[
-        Dict[str, Tuple[str, int]],
-        List[Tuple[_FnInfo, FrozenSet[str]]],
-    ]:
-        """Attribute reads through tainted names, plus tainted calls."""
-        names: Set[str] = set(tainted)
-        for node in ast.walk(info.node):
-            if isinstance(node, ast.Assign) and isinstance(
-                node.value, ast.Name
-            ):
-                if node.value.id in names:
-                    for target in node.targets:
-                        if isinstance(target, ast.Name):
-                            names.add(target.id)
-        bindings = self._local_class_bindings(info)
-        reads: Dict[str, Tuple[str, int]] = {}
-        edges: List[Tuple[_FnInfo, FrozenSet[str]]] = []
-        for node in ast.walk(info.node):
-            if isinstance(node, ast.Attribute):
-                if (
-                    isinstance(node.value, ast.Name)
-                    and node.value.id in names
-                    and isinstance(node.ctx, ast.Load)
-                ):
-                    reads.setdefault(
-                        node.attr, (info.filename, node.lineno)
-                    )
-            elif isinstance(node, ast.Call):
-                callee, offset = self._call_target(info, node, bindings)
-                if callee is None:
-                    continue
-                passed = self._tainted_callee_params(
-                    callee, offset, node, names
-                )
-                if passed:
-                    edges.append((callee, passed))
-        return reads, edges
-
-    def stage_reads(self) -> Dict[str, Dict[str, Tuple[str, int]]]:
-        """Per stage: options field -> first witness read site."""
-        out: Dict[str, Dict[str, Tuple[str, int]]] = {}
-        for stage in sorted(self.entries):
-            entry = self.entries[stage]
-            reads: Dict[str, Tuple[str, int]] = {}
-            seeds: List[Tuple[_FnInfo, FrozenSet[str]]] = []
-            fake = self.functions.get(f"{entry.module}:compute_stage")
-            if fake is not None:
-                callee, offset = self._call_target(fake, entry.call, {})
-                if callee is not None:
-                    passed = self._tainted_callee_params(
-                        callee, offset, entry.call,
-                        {entry.options_name},
-                    )
-                    if passed:
-                        seeds.append((callee, passed))
-            visited: Set[Tuple[str, FrozenSet[str]]] = set()
-            stack = list(seeds)
-            while stack:
-                info, tainted = stack.pop()
-                key = (info.qualname, tainted)
-                if key in visited:
-                    continue
-                visited.add(key)
-                found, edges = self._taint_scan(info, tainted)
-                for attr, site in found.items():
-                    reads.setdefault(attr, site)
-                stack.extend(edges)
-            out[stage] = reads
-        return out
-
-    # -- phase 3: full reachability (for CK003) ------------------------
+    # -- reachability --------------------------------------------------
 
     def reachable_functions(self) -> List[_FnInfo]:
         """Functions reachable from any stage entry via resolvable
@@ -694,11 +330,11 @@ class _Model:
         invoked on a constructor-bound local)."""
         stack: List[_FnInfo] = []
         for stage in sorted(self.entries):
-            entry = self.entries[stage]
-            fake = self.functions.get(f"{entry.module}:compute_stage")
-            if fake is None:
+            module, call = self.entries[stage]
+            dispatch = self.functions.get(f"{module}:compute_stage")
+            if dispatch is None:
                 continue
-            callee, _offset = self._call_target(fake, entry.call, {})
+            callee = self._call_target(dispatch, call, {})
             if callee is not None:
                 stack.append(callee)
         seen: Dict[str, _FnInfo] = {}
@@ -711,16 +347,14 @@ class _Model:
             for node in ast.walk(info.node):
                 if not isinstance(node, ast.Call):
                     continue
-                callee, _offset = self._call_target(
-                    info, node, bindings
-                )
+                callee = self._call_target(info, node, bindings)
                 if callee is not None:
                     stack.append(callee)
         return sorted(
             seen.values(), key=lambda f: (f.filename, f.lineno)
         )
 
-    # -- phase 4: purity scan ------------------------------------------
+    # -- purity scan ---------------------------------------------------
 
     def _impure_sites(self, info: _FnInfo) -> List[Tuple[int, str]]:
         """Ambient-input reads inside one function body."""
@@ -821,209 +455,27 @@ class _Model:
                 out.setdefault((info.module, name), set()).add(qualname)
         return out
 
-    # -- phase 5: findings ---------------------------------------------
-
-    def has_stage_model(self) -> bool:
-        return bool(self.options_fields and self.keyed and self.entries)
-
-    def _stage_list(self) -> List[str]:
-        if self.stages:
-            return list(self.stages)
-        return sorted(set(self.keyed) | set(self.entries))
-
-    def _parents(self) -> Dict[str, Optional[str]]:
-        if self.key_parent:
-            return dict(self.key_parent)
-        return {stage: None for stage in self._stage_list()}
-
-    def keyed_chain(self, stage: str) -> Set[str]:
-        parents = self._parents()
-        out: Set[str] = set()
-        cursor: Optional[str] = stage
-        seen: Set[str] = set()
-        while cursor is not None and cursor not in seen:
-            seen.add(cursor)
-            out |= set(self.keyed.get(cursor, {}))
-            cursor = parents.get(cursor)
-        return out
+    # -- findings ------------------------------------------------------
 
     def findings(self) -> List[Finding]:
-        hits: List[Tuple[Rule, str, int, str, str]] = []
-        if self.has_stage_model():
-            reads = self.stage_reads()
-            self._find_key_drift(reads, hits)
-            self._find_dead_config(reads, hits)
-            self._find_knob_drift(hits)
+        hits: List[Tuple[str, int, str, str]] = []
         if self.entries:
             self._find_impurity(hits)
-        return self._filtered(hits)
-
-    def _filtered(
-        self, hits: List[Tuple[Rule, str, int, str, str]]
-    ) -> List[Finding]:
         allowed_by_file = {
             info.filename: suppressed_lines(info.source)
             for info in self.modules.values()
         }
         findings: List[Finding] = []
-        for rule_obj, filename, lineno, message, hint in sorted(
-            hits, key=lambda h: (h[1], h[2], h[0].rule_id, h[3])
-        ):
+        for filename, lineno, message, hint in sorted(hits):
             allowed = allowed_by_file.get(filename, {})
-            if rule_obj.rule_id in allowed.get(lineno, ()):
+            if CK003.rule_id in allowed.get(lineno, ()):
                 continue
-            findings.append(rule_obj.finding(
+            findings.append(CK003.finding(
                 f"{filename}:{lineno}", message, fix_hint=hint,
             ))
         return findings
 
-    def _find_key_drift(
-        self,
-        reads: Dict[str, Dict[str, Tuple[str, int]]],
-        hits: List[Tuple[Rule, str, int, str, str]],
-    ) -> None:
-        fields = {name for name, _lineno in self.options_fields}
-        knobs = self.perf_knobs or set()
-        key_file = self.key_file or "<unknown>"
-        for stage in self._stage_list():
-            chain = self.keyed_chain(stage)
-            for attr in sorted(reads.get(stage, {})):
-                filename, lineno = reads[stage][attr]
-                if attr not in fields or attr in knobs:
-                    continue
-                if attr in chain:
-                    continue
-                hits.append((
-                    CK001, filename, lineno,
-                    f"stage {stage!r} reads options.{attr} but its key "
-                    f"chain never includes it; cached results go stale "
-                    f"when {attr} changes",
-                    f"hash options.{attr} in the {stage!r} branch of "
-                    f"stage_cache_key (or add it to PERF_KNOBS if it "
-                    f"provably never changes results)",
-                ))
-            stage_reads = set(reads.get(stage, {}))
-            for attr in sorted(self.keyed.get(stage, {})):
-                if attr in stage_reads:
-                    continue
-                lineno = self.keyed[stage][attr]
-                hits.append((
-                    CK002, key_file, lineno,
-                    f"key component options.{attr} of stage {stage!r} "
-                    f"is never read by the stage; every change "
-                    f"invalidates its cache for nothing",
-                    f"drop options.{attr} from the {stage!r} key or "
-                    f"make the stage honor it",
-                ))
-
-    def _find_dead_config(
-        self,
-        reads: Dict[str, Dict[str, Tuple[str, int]]],
-        hits: List[Tuple[Rule, str, int, str, str]],
-    ) -> None:
-        knobs = self.perf_knobs or set()
-        all_reads: Set[str] = set()
-        for stage_reads in reads.values():
-            all_reads |= set(stage_reads)
-        all_keyed: Set[str] = set()
-        for keyed in self.keyed.values():
-            all_keyed |= set(keyed)
-        options_file = self.options_file or "<unknown>"
-        for name, lineno in self.options_fields:
-            if name in knobs or name in all_reads or name in all_keyed:
-                continue
-            hits.append((
-                CK002, options_file, lineno,
-                f"options field {name!r} is neither read by any stage "
-                f"nor part of any stage key (dead config the job API "
-                f"still accepts)",
-                f"plumb options.{name} into the stage that should "
-                f"honor it and key it there, or delete the field",
-            ))
-
-    def _find_knob_drift(
-        self, hits: List[Tuple[Rule, str, int, str, str]]
-    ) -> None:
-        fields = {name for name, _lineno in self.options_fields}
-        options_file = self.options_file or "<unknown>"
-        if self.perf_knobs is None:
-            hits.append((
-                CK004, options_file, 1,
-                "no PERF_KNOBS frozenset literal found alongside "
-                "FlowOptions; the perf-knob contract has no single "
-                "source of truth",
-                "define PERF_KNOBS = frozenset({...}) next to the "
-                "options dataclass",
-            ))
-            return
-        knobs_file, knobs_lineno = self.perf_knobs_site or (
-            options_file, 1,
-        )
-        for name in sorted(self.perf_knobs - fields):
-            hits.append((
-                CK004, knobs_file, knobs_lineno,
-                f"PERF_KNOBS names {name!r}, which is not a "
-                f"FlowOptions field",
-                "remove the stale name or add the field",
-            ))
-        key_file = self.key_file or "<unknown>"
-        for stage in self._stage_list():
-            for attr in sorted(self.keyed.get(stage, {})):
-                if attr not in self.perf_knobs:
-                    continue
-                hits.append((
-                    CK004, key_file, self.keyed[stage][attr],
-                    f"declared perf knob options.{attr} participates "
-                    f"in the {stage!r} stage key; PERF_KNOBS promises "
-                    f"it never changes results, the key says it does",
-                    f"either un-declare {attr!r} or stop keying it",
-                ))
-        if self.submittable_knobs is not None:
-            site = self.submittable_knobs_site or (options_file, 1)
-            for name in sorted(self.submittable_knobs - self.perf_knobs):
-                hits.append((
-                    CK004, site[0], site[1],
-                    f"serve re-admits {name!r} as a perf knob, but it "
-                    f"is not in PERF_KNOBS",
-                    "keep _SUBMITTABLE_PERF_KNOBS a subset of "
-                    "PERF_KNOBS",
-                ))
-        if self.submittable_options is not None:
-            expected = (fields - self.perf_knobs - {"arch"}) | (
-                self.submittable_knobs or set()
-            )
-            if self.submittable_options != expected:
-                site = self.submittable_options_site or (
-                    options_file, 1,
-                )
-                extra = sorted(self.submittable_options - expected)
-                missing = sorted(expected - self.submittable_options)
-                hits.append((
-                    CK004, site[0], site[1],
-                    f"hand-listed _SUBMITTABLE_OPTIONS drifted from "
-                    f"the derived contract (unexpected: {extra}, "
-                    f"missing: {missing})",
-                    "derive the tuple from dataclasses.fields("
-                    "FlowOptions) and PERF_KNOBS",
-                ))
-        if (
-            self.request_key_site is not None
-            and self.request_key_doc is not None
-            and "PERF_KNOBS" not in self.request_key_doc
-        ):
-            hits.append((
-                CK004, self.request_key_site[0],
-                self.request_key_site[1],
-                "request_key's documented exclusion contract does not "
-                "reference PERF_KNOBS; hand-listed knob names drift "
-                "(the 'check' knob was once omitted exactly this way)",
-                "cite repro.flow.options.PERF_KNOBS instead of "
-                "listing knob names",
-            ))
-
-    def _find_impurity(
-        self, hits: List[Tuple[Rule, str, int, str, str]]
-    ) -> None:
+    def _find_impurity(self, hits: List[Tuple[str, int, str, str]]) -> None:
         mutators = self._global_mutators()
         for info in self.reachable_functions():
             stem = info.module.rsplit(".", 1)[-1]
@@ -1031,12 +483,13 @@ class _Model:
                 continue
             for lineno, detail in self._impure_sites(info):
                 hits.append((
-                    CK003, info.filename, lineno,
+                    info.filename, lineno,
                     f"{detail} in stage-reachable {info.qualname}; "
                     f"ambient inputs are invisible to the stage cache "
                     f"key, so cached and fresh runs can diverge",
-                    "thread the value through FlowOptions (and key "
-                    "it), or justify with # check: allow(CK003)",
+                    "thread the value through the stage's options slice "
+                    "(which keys it), or justify with "
+                    "# check: allow(CK003)",
                 ))
             reads, own_mutations = self._global_usage(info)
             reported: Set[str] = set()
@@ -1049,7 +502,7 @@ class _Model:
                 reported.add(name)
                 writer = sorted(writers - {info.qualname})[0]
                 hits.append((
-                    CK003, info.filename, lineno,
+                    info.filename, lineno,
                     f"stage-reachable {info.qualname} reads mutable "
                     f"module global {name!r}, which {writer} mutates; "
                     f"its content is ambient state the stage key "
@@ -1057,30 +510,6 @@ class _Model:
                     "capture the content in the stage key or justify "
                     "with # check: allow(CK003)",
                 ))
-
-    # -- public model --------------------------------------------------
-
-    def stage_model(self) -> Optional[StageKeyModel]:
-        if not self.has_stage_model():
-            return None
-        reads = self.stage_reads()
-        fields = frozenset(
-            name for name, _lineno in self.options_fields
-        )
-        return StageKeyModel(
-            fields=fields,
-            perf_knobs=frozenset(self.perf_knobs or set()),
-            stages=tuple(self._stage_list()),
-            keyed={
-                stage: frozenset(keyed)
-                for stage, keyed in self.keyed.items()
-            },
-            reads={
-                stage: frozenset(set(found) & fields)
-                for stage, found in reads.items()
-            },
-            parents=self._parents(),
-        )
 
 
 def _module_name(path: Path, root: Path) -> str:
@@ -1127,11 +556,11 @@ def _build_model(paths: Optional[Iterable[Path]]) -> Tuple[
 def analyze_source(
     source: str, filename: str = "<string>"
 ) -> List[Finding]:
-    """Run the CK analysis over one module's source text.
+    """Run the CK003 analysis over one module's source text.
 
-    Single-module fixtures must carry their own anchors (a FlowOptions
-    dataclass, ``stage_cache_key``, ``compute_stage``); the rule family
-    is whole-program, so a module without them yields no key findings.
+    Single-module fixtures must carry their own ``compute_stage``
+    dispatch; the rule is whole-program, so a module without one yields
+    no findings.
     """
     model = _Model()
     parse_error = model.add_module(source, filename)
@@ -1143,7 +572,7 @@ def analyze_source(
 def analyze_cache_keys(
     paths: Optional[Iterable[Path]] = None,
 ) -> List[Finding]:
-    """Run the CK analysis whole-program over ``paths``.
+    """Run the CK003 analysis whole-program over ``paths``.
 
     Defaults to the installed ``repro`` package, mirroring
     :func:`repro.check.selflint.lint_paths`; ``repro.check`` and
@@ -1154,9 +583,9 @@ def analyze_cache_keys(
     return findings
 
 
-def static_stage_model(
+def stage_reachable_functions(
     paths: Optional[Iterable[Path]] = None,
-) -> Optional[StageKeyModel]:
-    """The static key/read contract, for the CK005 runtime audit."""
+) -> List[str]:
+    """Qualnames (``module:Class.method``) of all stage-reachable code."""
     model, _findings = _build_model(paths)
-    return model.stage_model()
+    return [info.qualname for info in model.reachable_functions()]

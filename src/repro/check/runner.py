@@ -169,12 +169,10 @@ def check_design_run(
 def rule_catalog() -> List[Rule]:
     """Every registered rule, importing all analyzer families first."""
     # Import for registration side effects: selflint registers the DT
-    # rules, concurrency CC001-CC004, lockwatch CC005, cachekey
-    # CK001-CK004, keytrace CK005.
+    # rules, concurrency CC001-CC004, lockwatch CC005, cachekey CK003.
     from . import (  # noqa: F401
         cachekey,
         concurrency,
-        keytrace,
         lockwatch,
         selflint,
     )

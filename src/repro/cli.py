@@ -13,11 +13,9 @@ Commands
     all shipped benchmarks) and audit every stage artifact with the
     :mod:`repro.check` rule families; ``--self`` lints the ``repro``
     source tree itself instead (determinism ``DT``, concurrency ``CC``,
-    cache-key coherence ``CK``), ``--lockwatch JOURNAL`` reports
+    cache-key coherence ``CK``), and ``--lockwatch JOURNAL`` reports
     lock-order inversions observed at runtime by the
-    ``REPRO_LOCKWATCH=1`` sanitizer, and ``--keytrace JOURNAL`` audits
-    per-stage options reads observed at runtime under
-    ``REPRO_KEYTRACE=1`` against the static cache-key model.
+    ``REPRO_LOCKWATCH=1`` sanitizer.
     ``--json`` / ``--sarif`` emit machine-readable findings; exit
     status reflects ``--fail-on``.
 ``tables``
@@ -58,7 +56,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 from typing import List, Optional
@@ -140,21 +137,7 @@ def _cmd_flow(args: argparse.Namespace, reporter: Reporter) -> int:
         reporter.out(run.performance_report())
     if run.journal_path is not None:
         reporter.info(f"journal: {run.journal_path}")
-    _write_keytrace_report(reporter)
     return 0
-
-
-def _write_keytrace_report(reporter: Reporter) -> None:
-    """Persist the keytrace journal after a traced run (CK005).
-
-    Env-gated before the import so untraced runs never pay for
-    ``repro.check``.
-    """
-    if os.environ.get("REPRO_KEYTRACE", "") != "1":  # check: allow(CK003)
-        return
-    from .check import keytrace
-
-    reporter.info(f"keytrace journal: {keytrace.write_report()}")
 
 
 def _cmd_check(args: argparse.Namespace, reporter: Reporter) -> int:
@@ -170,7 +153,6 @@ def _cmd_check(args: argparse.Namespace, reporter: Reporter) -> int:
         check_design_run,
         filter_findings,
         findings_from_journal,
-        findings_from_keytrace_journal,
         lint_paths,
         rule_catalog,
     )
@@ -186,7 +168,7 @@ def _cmd_check(args: argparse.Namespace, reporter: Reporter) -> int:
             "EQ": "equivalence",
             "DT": "codebase determinism (--self)",
             "CC": "codebase concurrency (--self / lockwatch)",
-            "CK": "cache-key coherence (--self / keytrace)",
+            "CK": "cache-key coherence (--self)",
         }
         for family in REGISTRY.families():
             label = family_names.get(family, "")
@@ -221,14 +203,6 @@ def _cmd_check(args: argparse.Namespace, reporter: Reporter) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return 2
         report.extend(filter_findings(observed, rule_ids))
-    if args.keytrace:
-        reporter.info(f"reading keytrace journal {args.keytrace}...")
-        try:
-            observed = findings_from_keytrace_journal(Path(args.keytrace))
-        except (CheckError, OSError, ValueError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        report.extend(filter_findings(observed, rule_ids))
     if args.self:
         families = (
             {rid[:2] for rid in rule_ids} if rule_ids is not None else None
@@ -242,7 +216,7 @@ def _cmd_check(args: argparse.Namespace, reporter: Reporter) -> int:
         if families is None or "CK" in families:
             reporter.info("auditing stage cache-key coherence...")
             report.extend(filter_findings(analyze_cache_keys(), rule_ids))
-    if not args.self and not args.lockwatch and not args.keytrace:
+    if not args.self and not args.lockwatch:
         from .flow.experiments import build_design
         from .flow.flow import run_design
         from .flow.options import FlowOptions
@@ -310,7 +284,6 @@ def _cmd_tables(args: argparse.Namespace, reporter: Reporter) -> int:
         reporter.out(matrix.performance_report())
     if obs_journal.last_journal() is not None:
         reporter.info(f"journal: {obs_journal.last_journal()}")
-    _write_keytrace_report(reporter)
     return 0
 
 
@@ -709,11 +682,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="report observed lock-order inversions from a "
                             "lockwatch journal (written by a test run "
                             "under REPRO_LOCKWATCH=1)")
-    check.add_argument("--keytrace", metavar="JOURNAL", default=None,
-                       help="audit observed per-stage options reads from a "
-                            "keytrace journal (written by a flow run "
-                            "under REPRO_KEYTRACE=1) against the static "
-                            "cache-key model")
     check.add_argument("--list-rules", action="store_true",
                        help="print the rule catalog and exit")
     check.add_argument("--fail-on", choices=["info", "warning", "error"],

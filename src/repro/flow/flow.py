@@ -27,10 +27,9 @@ cache events are recorded on the returned :class:`DesignRun`.
 from __future__ import annotations
 
 import math
-import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, Optional, Union
 
@@ -58,7 +57,14 @@ from .cache import (
     canonical_netlist,
     stable_hash,
 )
-from .options import FlowOptions
+from .options import (
+    FlowOptions,
+    PackingOptions,
+    PhysicalOptions,
+    RouteAOptions,
+    RouteBOptions,
+    SynthesisOptions,
+)
 
 #: Deep mapped netlists recurse through reconstruction helpers.
 _RECURSION_LIMIT = 100_000
@@ -110,6 +116,9 @@ class FlowCancelled(RuntimeError):
         )
 
 
+#: Names of the paper's two architectures, reserved in the registry.
+_BUILTIN_NAMES = ("lut", "granular")
+
 #: Custom architectures registered for flow runs, by name.
 _CUSTOM_ARCHITECTURES: Dict[str, PLBArchitecture] = {}
 
@@ -119,8 +128,15 @@ def register_architecture(arch: PLBArchitecture) -> PLBArchitecture:
 
     Together with :func:`repro.core.plb.custom_plb` this enables the
     paper's proposed future work: pushing arbitrary PLB candidates
-    through the complete Figure-6 flow.
+    through the complete Figure-6 flow.  The built-in names ``lut`` and
+    ``granular`` are reserved: a custom architecture registered under
+    one would never be resolved, so it raises :class:`ValueError`.
     """
+    if arch.name in _BUILTIN_NAMES:
+        raise ValueError(
+            f"architecture name {arch.name!r} is reserved for the built-in "
+            f"PLB; register the custom architecture under another name"
+        )
     _CUSTOM_ARCHITECTURES[arch.name] = arch
     return arch
 
@@ -294,7 +310,7 @@ class DesignRun:
         return "\n".join(lines)
 
 
-def synthesize(netlist: Netlist, options: FlowOptions) -> SynthesisResult:
+def synthesize(netlist: Netlist, options: SynthesisOptions) -> SynthesisResult:
     """Front end: AIG optimization, mapping, logic compaction."""
     if sys.getrecursionlimit() < _RECURSION_LIMIT:
         sys.setrecursionlimit(_RECURSION_LIMIT)
@@ -334,7 +350,9 @@ def synthesize(netlist: Netlist, options: FlowOptions) -> SynthesisResult:
     )
 
 
-def _run_physical(synthesis: SynthesisResult, options: FlowOptions) -> PhysicalResult:
+def _run_physical(
+    synthesis: SynthesisResult, options: PhysicalOptions
+) -> PhysicalResult:
     """Physical synthesis on the mapped netlist (mutates a private copy)."""
     return run_physical_synthesis(
         synthesis.netlist.copy(),
@@ -348,9 +366,7 @@ def _run_physical(synthesis: SynthesisResult, options: FlowOptions) -> PhysicalR
     )
 
 
-def _route_flow_a(
-    physical: PhysicalResult, options: FlowOptions
-) -> tuple:
+def _route_flow_a(physical: PhysicalResult, options: RouteAOptions) -> tuple:
     grid = physical.placement.grid
     bins = max(4, options.routing_bins_per_side)
     pitch = max(grid.width_um, grid.height_um) / bins
@@ -365,7 +381,7 @@ def _route_flow_a(
 
 
 def _flow_a_result(
-    synthesis: SynthesisResult, physical: PhysicalResult, options: FlowOptions
+    synthesis: SynthesisResult, physical: PhysicalResult, options: RouteAOptions
 ) -> FlowResult:
     """Flow a back end: routing + extraction + STA over the cell grid."""
     routing, wires = _route_flow_a(physical, options)
@@ -375,7 +391,7 @@ def _flow_a_result(
     # Flow a die area: the standard-cell core at the utilization target.
     return FlowResult(
         flow="a",
-        arch_name=options.arch,
+        arch_name=synthesis.arch.name,
         netlist_stats=gather(physical.netlist),
         die_area=physical.placement.grid.area_um2,
         timing=timing,
@@ -384,7 +400,7 @@ def _flow_a_result(
 
 
 def _pack_stage(
-    synthesis: SynthesisResult, physical: PhysicalResult, options: FlowOptions
+    synthesis: SynthesisResult, physical: PhysicalResult, options: PackingOptions
 ) -> PackedDesign:
     """Packing into the PLB array, iterated with physical synthesis.
 
@@ -405,7 +421,7 @@ def _pack_stage(
 
 
 def _flow_b_result(
-    synthesis: SynthesisResult, packed: PackedDesign, options: FlowOptions
+    synthesis: SynthesisResult, packed: PackedDesign, options: RouteBOptions
 ) -> FlowResult:
     """Flow b back end: ASIC-style routing over the PLB array + STA."""
     routing_grid = RoutingGrid(
@@ -421,7 +437,7 @@ def _flow_b_result(
     )
     return FlowResult(
         flow="b",
-        arch_name=options.arch,
+        arch_name=synthesis.arch.name,
         netlist_stats=gather(packed.netlist),
         die_area=packed.die_area,
         timing=timing,
@@ -430,24 +446,6 @@ def _flow_b_result(
         plbs_used=packed.packing.plbs_used,
         array_side=packed.packing.cols,
     )
-
-
-def run_flow_a(
-    synthesis: SynthesisResult, options: FlowOptions
-) -> tuple:
-    """ASIC flow on the component-cell library; returns (result, physical)."""
-    physical = _run_physical(synthesis, options)
-    return _flow_a_result(synthesis, physical, options), physical
-
-
-def run_flow_b(
-    synthesis: SynthesisResult,
-    physical: PhysicalResult,
-    options: FlowOptions,
-) -> FlowResult:
-    """Packing into the PLB array plus ASIC-style routing over it."""
-    packed = _pack_stage(synthesis, physical, options)
-    return _flow_b_result(synthesis, packed, options)
 
 
 # ----------------------------------------------------------------------
@@ -465,39 +463,23 @@ def stage_cache_key(
 ) -> str:
     """The content-addressed key of one stage's result.
 
-    ``netlist`` is required for the pipeline root (``synthesis``);
-    every other stage chains on ``parent_key`` — the key of its
-    :data:`STAGE_KEY_PARENT` — so an upstream change invalidates exactly
-    its downstream stages.  Component order is load-bearing: it must
+    Every stage hashes its options slice (:meth:`FlowOptions.stage_slice`)
+    — exactly what its compute function receives — chained on
+    ``parent_key``, the key of its :data:`STAGE_KEY_PARENT`, so an
+    upstream change invalidates exactly its downstream stages.  The
+    pipeline root instead hashes the source ``netlist`` and the resolved
+    architecture's content.  Component order is load-bearing: it must
     stay byte-identical across releases or every existing cache entry
     silently misses.
     """
+    sliced = options.stage_slice(stage)
     if stage == "synthesis":
         return cache.key(
             "synthesis", canonical_netlist(netlist),
-            repr(architecture_of(options.arch)),
-            options.opt_effort, options.run_compaction,
+            repr(architecture_of(sliced.arch)),
+            sliced.opt_effort, sliced.run_compaction,
         )
-    if stage == "physical":
-        return cache.key(
-            "physical", parent_key, options.seed, options.place_iterations,
-            options.place_effort, options.period, options.utilization,
-        )
-    if stage == "route_a":
-        return cache.key(
-            "route_a", parent_key, options.routing_tracks,
-            options.routing_bins_per_side, options.period,
-        )
-    if stage == "packing":
-        return cache.key(
-            "packing", parent_key, options.pack_iterations,
-            options.pack_headroom, options.period,
-        )
-    if stage == "route_b":
-        return cache.key(
-            "route_b", parent_key, options.routing_tracks, options.period
-        )
-    raise ValueError(f"unknown stage {stage!r}")
+    return cache.key(stage, parent_key, *astuple(sliced))
 
 
 def stage_keys(
@@ -531,21 +513,6 @@ def request_key(
     return stable_hash("request", *(keys[stage] for stage in STAGES))
 
 
-def _keytrace_options(stage: str, options: FlowOptions) -> FlowOptions:
-    """Wrap ``options`` in the keytrace recording proxy when enabled.
-
-    Gated on ``$REPRO_KEYTRACE`` directly (not through
-    :mod:`repro.check.keytrace`) so untraced runs — the overwhelmingly
-    common case, including every scheduler worker — never import
-    ``repro.check`` at all.
-    """
-    if os.environ.get("REPRO_KEYTRACE", "") != "1":  # check: allow(CK003)
-        return options
-    from ..check import keytrace
-
-    return keytrace.traced(stage, options)
-
-
 def compute_stage(
     stage: str,
     options: FlowOptions,
@@ -556,28 +523,27 @@ def compute_stage(
 
     ``artifacts`` must hold every stage named in
     ``STAGE_INPUTS[stage]``; the root stage takes the source ``netlist``
-    instead.  Pure per (inputs, options, seed) — that purity is what
-    makes both the stage cache and cross-process scheduling sound.
-    Under ``REPRO_KEYTRACE=1`` the options object is wrapped in a
-    recording proxy so :mod:`repro.check.keytrace` can journal the
-    attributes each stage actually reads (rule CK005).
+    instead.  The stage sees only its options slice — the fields its
+    cache key hashes — so reading an unkeyed field raises
+    :class:`AttributeError`.  Pure per (inputs, slice) — that purity is
+    what makes both the stage cache and cross-process scheduling sound.
     """
-    options = _keytrace_options(stage, options)
+    sliced = options.stage_slice(stage)
     if stage == "synthesis":
-        return synthesize(netlist, options)
+        return synthesize(netlist, sliced)
     if stage == "physical":
-        return _run_physical(artifacts["synthesis"], options)
+        return _run_physical(artifacts["synthesis"], sliced)
     if stage == "route_a":
         return _flow_a_result(
-            artifacts["synthesis"], artifacts["physical"], options
+            artifacts["synthesis"], artifacts["physical"], sliced
         )
     if stage == "packing":
         return _pack_stage(
-            artifacts["synthesis"], artifacts["physical"], options
+            artifacts["synthesis"], artifacts["physical"], sliced
         )
     if stage == "route_b":
         return _flow_b_result(
-            artifacts["synthesis"], artifacts["packing"], options
+            artifacts["synthesis"], artifacts["packing"], sliced
         )
     raise ValueError(f"unknown stage {stage!r}")
 
@@ -679,7 +645,11 @@ def run_design(
             f"got {type(netlist).__name__}"
         )
     if isinstance(arch, PLBArchitecture):
-        register_architecture(arch)
+        if (
+            arch.name not in _BUILTIN_NAMES
+            or architecture_of(arch.name) is not arch
+        ):
+            register_architecture(arch)
         arch = arch.name
     options = (options or FlowOptions()).with_arch(arch)
     cache = cache if cache is not None else _cache_for(options)

@@ -8,15 +8,13 @@ from typing import Any, Dict
 from ..timing.sta import DEFAULT_CLOCK_PERIOD_NS
 
 #: Performance/observability knobs: the FlowOptions fields that NEVER
-#: change computed results and are therefore excluded from stage cache
-#: keys (and, by construction, from ``request_key`` coalescing).  This
-#: frozenset is the single source of truth for that contract — the key
-#: builders in :mod:`repro.flow.flow`, the submittable-option list in
-#: :mod:`repro.serve.jobs`, and the ``CK`` static-analysis family in
-#: :mod:`repro.check.cachekey` all derive from (or are checked against)
-#: it.  Adding a field here is a *claim* that cached and fresh runs are
-#: bit-identical under any value of the field; ``repro check --rules CK``
-#: and the key-sensitivity property test enforce the claim.
+#: change computed results.  They belong to no stage slice below, so no
+#: stage compute function can read them and no cache key (nor
+#: ``request_key`` coalescing) can include them.  The serve layer derives its submittable-option list
+#: from this set.  Adding a field here is a *claim* that cached and fresh
+#: runs are bit-identical under any value of the field;
+#: ``tests/test_key_contract.py`` checks that the slices and this set
+#: partition the FlowOptions fields.
 PERF_KNOBS = frozenset({
     "jobs", "schedule", "use_cache", "observe", "check",
 })
@@ -58,9 +56,11 @@ class FlowOptions:
     ``utilization`` is the flow-a standard-cell utilization target: die
     sizing inflates total cell area by ``1/utilization`` when building
     the placement grid.  It is a *semantic* knob (placement and die area
-    depend on it), so it participates in the ``physical`` stage cache
-    key.  The :data:`PERF_KNOBS` frozenset above is the authoritative
-    list of fields that do NOT participate in cache keys.
+    depend on it), so it is part of the ``physical`` stage slice.
+
+    Stage code never sees a ``FlowOptions``: :meth:`stage_slice` hands
+    each stage only the frozen slice of fields its cache key hashes
+    (:data:`STAGE_OPTIONS`), so a stage cannot read an unkeyed field.
     """
 
     arch: str = "granular"
@@ -86,6 +86,13 @@ class FlowOptions:
 
         return replace(self, arch=arch)
 
+    def stage_slice(self, stage: str):
+        """The frozen options slice ``stage`` computes from and is keyed by."""
+        cls = STAGE_OPTIONS.get(stage)
+        if cls is None:
+            raise ValueError(f"unknown stage {stage!r}")
+        return cls(*(getattr(self, f.name) for f in fields(cls)))
+
     # -- JSON round-trip (job submissions, ``repro.serve``) ------------
     def to_dict(self) -> Dict[str, Any]:
         """The options as a plain JSON-ready dict (field name -> value)."""
@@ -98,6 +105,8 @@ class FlowOptions:
         Unknown keys raise :class:`ValueError` — a typo in a job
         submission must be rejected at admission, not silently ignored
         (it would change which cache chain the request coalesces onto).
+        JSON integers given for float fields become floats: keys hash
+        ``repr``, and ``1`` and ``1.0`` must land on one cache chain.
         """
         known = {f.name for f in fields(cls)}
         unknown = sorted(set(data) - known)
@@ -106,4 +115,75 @@ class FlowOptions:
                 f"unknown flow option(s) {unknown} "
                 f"(choices: {sorted(known)})"
             )
+        data = {
+            name: float(value)
+            if type(value) is int and name in _FLOAT_FIELDS else value
+            for name, value in data.items()
+        }
         return cls(**data)
+
+
+_FLOAT_FIELDS = frozenset(
+    f.name for f in fields(FlowOptions) if f.type in ("float", float)
+)
+
+
+# -- per-stage option slices --------------------------------------------
+# Each slice holds exactly the fields its stage reads, in the order its
+# cache key hashes them (``stage_cache_key`` hashes ``astuple(slice)``
+# below the root).  Field order is load-bearing: reordering changes keys.
+
+@dataclass(frozen=True)
+class SynthesisOptions:
+    """Front end: AIG optimization, mapping, logic compaction."""
+
+    arch: str
+    opt_effort: int
+    run_compaction: bool
+
+
+@dataclass(frozen=True)
+class PhysicalOptions:
+    """Physical synthesis + ASIC placement."""
+
+    seed: int
+    place_iterations: int
+    place_effort: float
+    period: float
+    utilization: float
+
+
+@dataclass(frozen=True)
+class RouteAOptions:
+    """Flow a back end: routing over the cell grid + STA."""
+
+    routing_tracks: int
+    routing_bins_per_side: int
+    period: float
+
+
+@dataclass(frozen=True)
+class PackingOptions:
+    """Packing into the PLB array, iterated with physical synthesis."""
+
+    pack_iterations: int
+    pack_headroom: float
+    period: float
+
+
+@dataclass(frozen=True)
+class RouteBOptions:
+    """Flow b back end: routing over the PLB array + STA."""
+
+    routing_tracks: int
+    period: float
+
+
+#: Stage name -> the options slice its compute function receives.
+STAGE_OPTIONS: Dict[str, type] = {
+    "synthesis": SynthesisOptions,
+    "physical": PhysicalOptions,
+    "route_a": RouteAOptions,
+    "packing": PackingOptions,
+    "route_b": RouteBOptions,
+}

@@ -46,7 +46,8 @@ TERMINAL_STATES = ("done", "failed", "cancelled")
 #: computed results (it only audits stage artifacts and aborts on fatal
 #: findings), but whether to pay for the audit is a per-request choice,
 #: not server policy — so it is re-admitted here.  Must stay a subset
-#: of :data:`repro.flow.options.PERF_KNOBS` (enforced by rule CK004).
+#: of :data:`repro.flow.options.PERF_KNOBS` (asserted in
+#: ``tests/test_key_contract.py``).
 _SUBMITTABLE_PERF_KNOBS = ("check",)
 
 #: Flow-option fields a submission may set: every semantic (cache-keyed)

@@ -89,6 +89,20 @@ class TestFlowIntegration:
         with pytest.raises(ValueError):
             architecture_of("never_registered")
 
+    @pytest.mark.parametrize("name", ["lut", "granular"])
+    def test_builtin_name_cannot_be_registered(self, name):
+        impostor = custom_plb(name, {"MUX2": 3, "DFF": 1})
+        with pytest.raises(ValueError, match="reserved"):
+            register_architecture(impostor)
+        with pytest.raises(ValueError, match="reserved"):
+            run_design(make_ripple_design(), impostor, FAST)
+        builtin = lut_plb() if name == "lut" else granular_plb()
+        assert architecture_of(name) is builtin
+
+    def test_builtin_instance_runs_without_registration(self):
+        run = run_design(make_ripple_design(), lut_plb(), FAST)
+        assert run.arch_name == run.flow_b.arch_name == "lut"
+
     @pytest.mark.parametrize("slots", [
         {"MUX2": 2, "XOA": 1, "ND3WI": 1, "DFF": 2},   # seq-leaning granular
         {"MUX2": 3, "ND3WI": 1, "DFF": 1},             # no XOA

@@ -195,7 +195,8 @@ def _inject_lut_packing_fault(monkeypatch):
     real = flow_mod._pack_stage
 
     def boom(synthesis, physical, options):
-        if options.arch == "lut":
+        # The packing slice has no ``arch``; the artifact carries it.
+        if synthesis.arch.name == "lut":
             raise RuntimeError("injected packing fault")
         return real(synthesis, physical, options)
 
