@@ -5,21 +5,22 @@ mapping, logic compaction, physical synthesis (SA placement), packing,
 and routing + extraction.  Useful for tracking performance of the CAD
 substrates themselves.
 
-Also measures the evaluation-matrix runner end to end — serial vs
-``jobs=4`` workers, cold vs warm stage cache — and records the snapshot
-in ``results/perf_matrix.txt`` so the speedup is measured, not asserted.
+Also measures the evaluation-matrix runner end to end — the stage DAG
+in process (``jobs=1``) vs on ``jobs=4`` workers, cold vs warm stage
+cache — and records the snapshot in ``results/perf_matrix.txt`` so the
+speedup is measured, not asserted.
 
 Runnable directly as a wall-time regression guard::
 
     python benchmarks/bench_flow_stages.py --smoke            # check
     python benchmarks/bench_flow_stages.py --smoke --record   # rebaseline
 
-``--smoke`` times one cold (design, arch) cell, one cold stage-graph
+``--smoke`` times one cold (design, arch) cell, one cold ``jobs=4``
 matrix and the synthesis front end of the fpu cell against the recorded
 baseline in ``benchmarks/perf_baseline.json`` and exits nonzero when any
 guarded time regresses more than 2x — a coarse tripwire for accidentally
 disabling the persistent realization tables, the sorted-list SA cost
-state, the stage-graph scheduler, or the linear-time synthesis kernels (AIG
+state, the stage DAG's worker pool, or the linear-time synthesis kernels (AIG
 balancing and the FlowMap max-flow, whose quadratic forms only show on
 a design as large as fpu/granular at scale 0.5).  Every
 guarded timing is a **best-of-3**: the minimum is compared against the
@@ -202,13 +203,10 @@ PERF_OPTIONS = FlowOptions(
 STAGE_LABELS = {"physical": "physical (SA placement)"}
 
 
-def _timed_matrix(monkeypatch, jobs, cache_dir, schedule="cell"):
-    from dataclasses import replace
-
+def _timed_matrix(monkeypatch, jobs, cache_dir):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(cache_dir))
-    options = replace(PERF_OPTIONS, schedule=schedule)
     start = time.perf_counter()
-    runs = run_cells(PERF_CELLS, PERF_SCALE, options, jobs=jobs)
+    runs = run_cells(PERF_CELLS, PERF_SCALE, PERF_OPTIONS, jobs=jobs)
     return time.perf_counter() - start, runs
 
 
@@ -228,24 +226,16 @@ def test_matrix_serial_vs_parallel_cold_vs_warm(
     """Measure the matrix runner and snapshot it to results/perf_matrix.txt.
 
     A warm-cache rerun must beat the cold run by >= 5x (every stage is a
-    cache hit), and all configurations — serial, cell pool, stage graph —
-    must report identical design metrics (worker count, schedule, and
-    cache state never change results).
+    cache hit), and every configuration must report identical design
+    metrics (worker count and cache state never change results).
     """
     serial_dir = tmp_path_factory.mktemp("perf-serial")
     parallel_dir = tmp_path_factory.mktemp("perf-parallel")
-    stage_dir = tmp_path_factory.mktemp("perf-stage")
 
     cold_serial, runs_cold = _timed_matrix(monkeypatch, 1, serial_dir)
     warm_serial, runs_warm = _timed_matrix(monkeypatch, 1, serial_dir)
     cold_parallel, runs_pcold = _timed_matrix(monkeypatch, 4, parallel_dir)
     warm_parallel, runs_pwarm = _timed_matrix(monkeypatch, 4, parallel_dir)
-    cold_stage, runs_scold = _timed_matrix(
-        monkeypatch, 4, stage_dir, schedule="stage"
-    )
-    warm_stage, runs_swarm = _timed_matrix(
-        monkeypatch, 4, stage_dir, schedule="stage"
-    )
 
     def metrics(runs):
         return [
@@ -258,8 +248,6 @@ def test_matrix_serial_vs_parallel_cold_vs_warm(
     assert metrics(runs_warm) == baseline
     assert metrics(runs_pcold) == baseline
     assert metrics(runs_pwarm) == baseline
-    assert metrics(runs_scold) == baseline
-    assert metrics(runs_swarm) == baseline
     assert warm_serial * 5 <= cold_serial, "warm cache must be >= 5x faster"
 
     stage_lines = [
@@ -274,26 +262,23 @@ def test_matrix_serial_vs_parallel_cold_vs_warm(
             f"({len(PERF_CELLS)} cells, scale {PERF_SCALE}, "
             f"{os.cpu_count()} CPU(s) visible)",
             f"{'configuration':26s} {'wall (s)':>10s} {'speedup':>9s}",
-            f"{'serial, cold cache':26s} {cold_serial:10.2f} {1.0:9.2f}x",
-            f"{'serial, warm cache':26s} {warm_serial:10.2f} "
+            f"{'jobs=1, cold cache':26s} {cold_serial:10.2f} {1.0:9.2f}x",
+            f"{'jobs=1, warm cache':26s} {warm_serial:10.2f} "
             f"{cold_serial / warm_serial:9.2f}x",
-            f"{'jobs=4 cell, cold cache':26s} {cold_parallel:10.2f} "
+            f"{'jobs=4, cold cache':26s} {cold_parallel:10.2f} "
             f"{cold_serial / cold_parallel:9.2f}x",
-            f"{'jobs=4 cell, warm cache':26s} {warm_parallel:10.2f} "
+            f"{'jobs=4, warm cache':26s} {warm_parallel:10.2f} "
             f"{cold_serial / warm_parallel:9.2f}x",
-            f"{'jobs=4 stage, cold cache':26s} {cold_stage:10.2f} "
-            f"{cold_serial / cold_stage:9.2f}x",
-            f"{'jobs=4 stage, warm cache':26s} {warm_stage:10.2f} "
-            f"{cold_serial / warm_stage:9.2f}x",
             "",
             "cold-run stage breakdown (first cell, alu/granular):",
             *stage_lines,
             "",
-            "All configurations produce identical design metrics; parallel",
+            "All configurations produce identical design metrics.  Every",
+            "row runs the (cell, stage) task DAG (repro.flow.scheduler):",
+            "in process at jobs=1, on a worker pool at jobs=4.  Parallel",
             "speedup scales with available cores (a 1-CPU runner shows",
-            "pool/scheduler overhead instead of wins; the cache rows are",
-            "the hardware-independent signal).  The stage rows run the",
-            "(cell, stage) task-graph scheduler (repro.flow.scheduler).",
+            "pool overhead instead of wins; the cache rows are the",
+            "hardware-independent signal).",
         ]
     )
     print("\n" + text)
@@ -353,12 +338,12 @@ def _time_smoke_cell() -> dict:
 
 
 def _time_smoke_matrix(chrome_path: str = None) -> float:
-    """Cold stage-graph matrix wall time in a throwaway cache dir.
+    """Cold matrix wall time in a throwaway cache dir.
 
-    Runs ``PERF_CELLS`` under ``--schedule stage`` with
-    ``SMOKE_MATRIX_JOBS`` workers — the guarded ``matrix_seconds``
-    budget.  With ``chrome_path`` the run is traced and the scheduler's
-    Chrome trace is written there (observation is inert by contract, so
+    Runs ``PERF_CELLS`` on the stage DAG with ``SMOKE_MATRIX_JOBS``
+    workers — the guarded ``matrix_seconds`` budget.  With
+    ``chrome_path`` the run is traced and the scheduler's Chrome trace
+    is written there (observation is inert by contract, so
     the traced sample is still a valid timing; best-of-3 discards any
     residual overhead anyway).
     """

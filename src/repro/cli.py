@@ -30,7 +30,7 @@ Commands
 ``trace [JOURNAL]``
     Render a journal's span tree; ``--chrome`` also writes Chrome
     ``chrome://tracing`` trace-event JSON; ``--gantt`` renders the
-    stage-graph scheduler timeline (one lane per worker).
+    stage-DAG timeline (one lane per worker process).
 ``cache stats`` / ``cache gc``
     Inspect the content-addressed stage cache, or evict entries by age
     (``--max-age 7d``) and/or LRU order until under a size budget
@@ -108,7 +108,6 @@ def _cmd_flow(args: argparse.Namespace, reporter: Reporter) -> int:
 
     options = FlowOptions(
         arch=args.arch, seed=args.seed, place_effort=args.effort,
-        jobs=args.jobs, schedule=args.schedule,
         use_cache=not args.no_cache,
         observe=args.trace, check=args.check,
     )
@@ -270,7 +269,7 @@ def _cmd_tables(args: argparse.Namespace, reporter: Reporter) -> int:
     from dataclasses import replace
 
     options = replace(
-        default_options(), jobs=args.jobs, schedule=args.schedule,
+        default_options(), jobs=args.jobs,
         use_cache=not args.no_cache, observe=args.trace,
     )
     matrix = run_matrix(options, scale=args.scale, jobs=args.jobs)
@@ -609,13 +608,6 @@ def _add_flow_arguments(flow: argparse.ArgumentParser) -> None:
     flow.add_argument("--seed", type=int, default=0)
     flow.add_argument("--effort", type=float, default=0.2,
                       help="placement effort (1.0 = full anneal)")
-    flow.add_argument("--jobs", type=int, default=1,
-                      help="worker processes for matrix fan-out (1 = serial)")
-    flow.add_argument("--schedule", choices=["cell", "stage"],
-                      default="stage",
-                      help="parallel decomposition: 'stage' pipelines "
-                           "(cell, stage) tasks across workers, 'cell' "
-                           "ships whole cells; results are bit-identical")
     flow.add_argument("--no-cache", action="store_true",
                       help="bypass the content-addressed stage cache")
     flow.add_argument("--trace", action="store_true",
@@ -698,11 +690,7 @@ def build_parser() -> argparse.ArgumentParser:
     tables.add_argument("--scale", type=float, default=0.5)
     tables.add_argument("--jobs", type=int, default=1,
                         help="worker processes for the 8-cell matrix "
-                             "(1 = serial; -1 = all CPUs)")
-    tables.add_argument("--schedule", choices=["cell", "stage"],
-                        default="stage",
-                        help="parallel decomposition for --jobs > 1 "
-                             "(default: stage; results are bit-identical)")
+                             "(1 = in this process; -1 = all usable CPUs)")
     tables.add_argument("--no-cache", action="store_true",
                         help="bypass the content-addressed stage cache")
     tables.add_argument("--timings", action="store_true",
@@ -742,8 +730,8 @@ def build_parser() -> argparse.ArgumentParser:
     trace.add_argument("--depth", type=int, default=None,
                        help="limit the rendered span-tree depth")
     trace.add_argument("--gantt", action="store_true",
-                       help="render the stage-graph scheduler Gantt "
-                            "(one lane per worker) instead of the span tree")
+                       help="render the stage-DAG Gantt (one lane per "
+                            "worker process) instead of the span tree")
 
     cache = sub.add_parser(
         "cache", help="inspect or garbage-collect the stage cache"

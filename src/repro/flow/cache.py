@@ -21,7 +21,7 @@ import os
 import pickle
 import tempfile
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Any, Dict, List, Optional
 
@@ -96,6 +96,13 @@ class CacheStats:
         self.bytes_read += other.bytes_read
         self.bytes_written += other.bytes_written
 
+    def since(self, earlier: "CacheStats") -> "CacheStats":
+        """The traffic counted after ``earlier``, a copy of these stats."""
+        return CacheStats(*(
+            getattr(self, f.name) - getattr(earlier, f.name)
+            for f in fields(self)
+        ))
+
     def format(self) -> str:
         return (
             f"{self.hits} hits, {self.misses} misses, {self.corrupt} corrupt, "
@@ -118,7 +125,7 @@ class StageCache:
         respect_env: bool = True,
     ):
         """``respect_env=False`` ignores ``REPRO_NO_CACHE`` — used by the
-        stage-graph scheduler's private *transport* cache, which is an
+        stage DAG's private *transport* cache for pool runs, which is an
         IPC rendezvous in a throwaway directory, not a persistent cache,
         and must work even when persistent caching is globally off."""
         self.root = Path(root) if root is not None else default_cache_dir()
@@ -139,8 +146,8 @@ class StageCache:
 
         Existence only — a corrupt entry still reports True and is
         caught (and discarded) by the digest check on :meth:`get`.  Used
-        by the stage-graph scheduler to collapse already-cached DAG
-        nodes without deserializing their payloads.
+        by the stage DAG's pool to collapse already-cached nodes without
+        deserializing their payloads.
         """
         return self.enabled and self._path(stage, key).is_file()
 

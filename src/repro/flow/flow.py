@@ -19,8 +19,9 @@
 The flow is decomposed into content-addressed stages (synthesis,
 physical synthesis, flow-a routing/STA, packing, flow-b routing/STA);
 :func:`run_design` keys each stage by a stable hash of its inputs and
-consults a :class:`~repro.flow.cache.StageCache` so repeated invocations
-skip every unchanged prefix of the pipeline.  Per-stage wall times and
+runs it on the stage DAG (:mod:`repro.flow.scheduler`), which consults a
+:class:`~repro.flow.cache.StageCache` so repeated invocations skip every
+unchanged prefix of the pipeline.  Per-stage wall times and
 cache events are recorded on the returned :class:`DesignRun`.
 """
 
@@ -28,7 +29,6 @@ from __future__ import annotations
 
 import math
 import sys
-import time
 from dataclasses import astuple, dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, Optional, Union
@@ -52,7 +52,6 @@ from ..synth.techmap import map_core
 from ..timing.sta import TimingReport, analyze
 from .cache import (
     CacheStats,
-    NullCache,
     StageCache,
     canonical_netlist,
     stable_hash,
@@ -74,8 +73,8 @@ STAGES = ("synthesis", "physical", "route_a", "packing", "route_b")
 
 #: Upstream artifacts each stage's compute function consumes.  This is
 #: the full data-dependency relation of the Figure-6 pipeline; the
-#: stage-graph scheduler (:mod:`repro.flow.scheduler`) builds its task
-#: DAG directly from it, so the two execution modes cannot drift.
+#: stage DAG (:mod:`repro.flow.scheduler`) takes its edges directly
+#: from it.
 STAGE_INPUTS: Dict[str, tuple] = {
     "synthesis": (),
     "physical": ("synthesis",),
@@ -95,25 +94,6 @@ STAGE_KEY_PARENT: Dict[str, Optional[str]] = {
     "packing": "physical",
     "route_b": "packing",
 }
-
-
-class FlowCancelled(RuntimeError):
-    """A flow run was cancelled at a stage boundary.
-
-    Raised by :func:`run_design` when its ``cancel`` hook returns True
-    between stages.  ``completed`` lists the stages whose artifacts were
-    finished (and are therefore already in the content-addressed stage
-    cache — a resubmission of the same request resumes warm from them);
-    ``next_stage`` is the stage that was about to run.
-    """
-
-    def __init__(self, next_stage: str, completed: tuple):
-        self.next_stage = next_stage
-        self.completed = completed
-        super().__init__(
-            f"flow cancelled before stage {next_stage!r} "
-            f"(completed: {', '.join(completed) or 'none'})"
-        )
 
 
 #: Names of the paper's two architectures, reserved in the registry.
@@ -450,8 +430,8 @@ def _flow_b_result(
 
 # ----------------------------------------------------------------------
 # Stage registry: one definition of every stage's cache key, compute
-# function, and boundary audit, shared by the serial path (run_design)
-# and the stage-graph scheduler (repro.flow.scheduler).
+# function, and boundary audit, used by the stage DAG
+# (repro.flow.scheduler) that runs every flow.
 # ----------------------------------------------------------------------
 
 def stage_cache_key(
@@ -590,10 +570,6 @@ def guard_stage(
             net_points=packed.packing.net_pin_points(packed.netlist))
 
 
-def _cache_for(options: FlowOptions) -> StageCache:
-    return StageCache() if options.use_cache else NullCache()
-
-
 def run_design(
     netlist: Union[Netlist, str],
     arch,
@@ -619,15 +595,22 @@ def run_design(
     value to a cold computation — determinism of every stage per seed is
     what makes the cache sound.
 
-    ``cancel``, when given, is polled at every stage boundary; once it
-    returns True the run raises :class:`FlowCancelled` instead of
+    The run is a one-cell graph on the stage DAG
+    (:mod:`repro.flow.scheduler`), executed in this process.  ``cancel``,
+    when given, is polled before every stage; once it returns True the
+    run raises :class:`~repro.flow.scheduler.FlowCancelled` instead of
     starting the next stage.  Finished stages are already persisted in
     the cache, so a cancelled (or drained) run checkpoints for free: the
     same request resubmitted later resumes warm.  ``progress`` is called
-    after each completed stage with ``(stage, cache_hit, seconds)`` —
-    the hook ``repro.serve`` uses to stream per-stage job progress.
-    Neither hook ever changes computed results.
+    after each stage, cached ones included, in :data:`STAGES` order with
+    ``(stage, cache_hit, seconds)`` — the hook ``repro.serve`` uses to
+    stream per-stage job progress.  Neither hook ever changes computed
+    results.  A stage that raises propagates its own exception: with one
+    cell there is no finished result for a
+    :class:`~repro.flow.scheduler.StageFailure` to carry.
     """
+    from .scheduler import StageFailure, run_stage_graph
+
     if isinstance(netlist, str):
         from ..designs import DESIGN_BUILDERS
 
@@ -652,58 +635,23 @@ def run_design(
             register_architecture(arch)
         arch = arch.name
     options = (options or FlowOptions()).with_arch(arch)
-    cache = cache if cache is not None else _cache_for(options)
     # Tracing: activate when requested; whoever activates owns the trace
-    # and writes the journal at the end.  Inside a traced run_cells (or a
-    # pool worker's per-cell trace) begin() returns False and this run
-    # only records into the ambient trace.
+    # and writes the journal at the end.  Inside a traced run_cells,
+    # begin() returns False and this run only records into that trace.
     observing = options.observe or _obs.env_requested()
     own_trace = _obs.begin() if observing else False
-    seconds: Dict[str, float] = {}
-    cached: Dict[str, bool] = {}
-    artifacts: Dict[str, object] = {}
-
-    def staged(stage, key):
-        start = time.perf_counter()  # check: allow(DT002) timing report only
-        with _obs.span(f"flow.{stage}", stage=stage) as sp:
-            result = cache.get(stage, key)
-            hit = result is not None
-            if not hit:
-                result = compute_stage(
-                    stage, options, artifacts, netlist=netlist
-                )
-                cache.put(stage, key, result)
-            sp.set(cached=hit)
-        elapsed = time.perf_counter() - start  # check: allow(DT002) timing report only
-        cached[stage] = hit
-        seconds[stage] = elapsed
-        _obs.observe(f"stage.seconds.{stage}", elapsed)
-        return result
-
-    with _obs.span(
-        "run_design", design=netlist.name, arch=arch, seed=options.seed
-    ):
-        keys = stage_keys(cache, netlist, options)
-        for stage in STAGES:
-            if cancel is not None and cancel():
-                raise FlowCancelled(stage, tuple(artifacts))
-            artifacts[stage] = staged(stage, keys[stage])
-            guard_stage(stage, options, artifacts, f"{netlist.name}/{arch}")
-            if progress is not None:
-                progress(stage, cached[stage], seconds[stage])
-
-    run = DesignRun(
-        design=netlist.name,
-        arch_name=arch,
-        synthesis=artifacts["synthesis"],
-        physical=artifacts["physical"],
-        flow_a=artifacts["route_a"],
-        flow_b=artifacts["route_b"],
-        packed=artifacts["packing"],
-        stage_seconds=seconds,
-        stage_cached=cached,
-        cache_stats=cache.stats,
-    )
+    cell = (netlist.name, arch)
+    try:
+        with _obs.span(
+            "run_design", design=netlist.name, arch=arch, seed=options.seed
+        ):
+            run = run_stage_graph(
+                [cell], None, options, jobs=1, cancel=cancel,
+                netlists={netlist.name: netlist}, cache=cache,
+                progress=progress,
+            )[cell]
+    except StageFailure as failure:
+        raise failure.__cause__ from None
     if own_trace:
         run.journal_path = _journal.finalize(f"{netlist.name}-{arch}")
     return run

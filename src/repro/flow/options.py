@@ -8,16 +8,15 @@ from typing import Any, Dict
 from ..timing.sta import DEFAULT_CLOCK_PERIOD_NS
 
 #: Performance/observability knobs: the FlowOptions fields that NEVER
-#: change computed results.  They belong to no stage slice below, so no
-#: stage compute function can read them and no cache key (nor
-#: ``request_key`` coalescing) can include them.  The serve layer derives its submittable-option list
-#: from this set.  Adding a field here is a *claim* that cached and fresh
-#: runs are bit-identical under any value of the field;
-#: ``tests/test_key_contract.py`` checks that the slices and this set
-#: partition the FlowOptions fields.
-PERF_KNOBS = frozenset({
-    "jobs", "schedule", "use_cache", "observe", "check",
-})
+#: change computed results — the worker count, the stage cache switch,
+#: tracing and the stage-boundary audits.  They belong to no stage slice
+#: below, so no stage compute function can read them and no cache key
+#: (nor ``request_key`` coalescing) can include them.  The serve layer
+#: derives its submittable-option list from this set.  Adding a field
+#: here is a *claim* that cached and fresh runs are bit-identical under
+#: any value of the field; ``tests/test_key_contract.py`` checks that the
+#: slices and this set partition the FlowOptions fields.
+PERF_KNOBS = frozenset({"jobs", "use_cache", "observe", "check"})
 
 
 @dataclass(frozen=True)
@@ -30,16 +29,14 @@ class FlowOptions:
     comparison is differential, so both architectures always run with
     identical effort.
 
-    ``jobs`` is the worker count for the parallel experiment-matrix
-    runner (1 = serial, the exact legacy path); results are identical
-    for any worker count because every stage is deterministic per seed.
-    ``schedule`` picks the parallel decomposition: ``"stage"`` (default)
-    runs the matrix as a pipelined (cell, stage) task DAG
-    (:mod:`repro.flow.scheduler`); ``"cell"`` is the legacy
-    whole-cell-per-worker pool.  ``use_cache`` enables the
-    content-addressed stage cache (see :mod:`repro.flow.cache`).  None
-    of these knobs affects computed results — serial, cell, and stage
-    runs are bit-identical at any worker count.
+    ``jobs`` is the worker count of the stage DAG that runs the
+    evaluation matrix (:mod:`repro.flow.scheduler`): 1 runs it in this
+    process, more runs it on a worker pool; results are identical for
+    any worker count because every stage is deterministic per seed.
+    :func:`~repro.flow.flow.run_design` runs one cell in this process
+    and ignores it.  ``use_cache`` enables the content-addressed stage
+    cache (see :mod:`repro.flow.cache`).  Neither knob affects computed
+    results.
 
     ``observe`` turns on the :mod:`repro.obs` tracing subsystem for the
     run: spans, metrics, and cache events are recorded and written to a
@@ -76,7 +73,6 @@ class FlowOptions:
     routing_tracks: int = 28
     routing_bins_per_side: int = 12
     jobs: int = 1
-    schedule: str = "stage"
     use_cache: bool = True
     observe: bool = False
     check: bool = False

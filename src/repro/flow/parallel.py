@@ -1,95 +1,43 @@
-"""Parallel evaluation-matrix runner.
+"""Evaluation-matrix runner.
 
 The paper's whole evaluation is a 4-designs x 2-PLB-architectures matrix
-(each cell runs flows a and b).  Cells are mutually independent — every
-stochastic stage takes an explicit per-run seed, and no state is shared
-between cells — so they fan out over a ``ProcessPoolExecutor`` without
-affecting results: ``jobs=1`` runs the exact serial path, and any
-``jobs>1`` produces bit-identical tables because each cell's computation
-never depends on which worker (or how many) executed it.
+(each cell runs flows a and b).  :func:`run_cells` hands the cells to the
+stage DAG (:mod:`repro.flow.scheduler`), which runs them in this process
+at ``jobs=1`` and on a worker pool otherwise.  Every stochastic stage
+takes an explicit per-run seed and no state is shared between cells, so
+any job count produces bit-identical tables.
 
-Workers also share the content-addressed stage cache
-(:mod:`repro.flow.cache`): entries are written atomically, so concurrent
-workers can populate and reuse it safely.
-
-When observation is on (``FlowOptions.observe`` / ``REPRO_TRACE``), each
-worker records its own per-cell trace and ships the raw event list back
-to the parent alongside the :class:`DesignRun` — the existing pool
-result plumbing, no extra channels — where the fragments merge, in cell
-order, into one coherent journal for the whole matrix.
+When observation is on (``FlowOptions.observe`` / ``REPRO_TRACE``) the
+whole matrix produces *one* journal: pool workers ship their event
+fragments back to the parent, which merges them in task order and writes
+the journal at the end.
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 from ..obs import core as _obs
 from ..obs import journal as _journal
 from .flow import DesignRun
 from .options import FlowOptions
-
-
-def _observing(options: FlowOptions) -> bool:
-    return options.observe or _obs.env_requested()
-
-
-def _run_cell(
-    cell: Tuple[str, str], scale: float, options: FlowOptions
-) -> Tuple[Tuple[str, str], DesignRun, Optional[List[dict]]]:
-    """Worker body: build one design and run both flows on one arch.
-
-    Imports are deferred so the module stays importable without pulling
-    the whole flow in (and so forked workers resolve them lazily).
-
-    In a pool worker with observation on, this call owns the process's
-    trace: the third tuple element carries the drained event list back
-    to the parent.  Called in-process under an already-active parent
-    trace, events land in the parent buffer directly and the third
-    element is None.
-    """
-    from .experiments import build_design
-    from .flow import run_design
-
-    own_trace = _observing(options) and _obs.begin()
-    design, arch = cell
-    netlist = build_design(design, scale)
-    run = run_design(netlist, arch, options)
-    events = _obs.drain() if own_trace else None
-    return cell, run, events
-
-
-def _warm_worker(arch_names: Tuple[str, ...]) -> None:
-    """Pool initializer: preload realization tables in each worker.
-
-    The tables are persisted through the content-addressed stage cache
-    (see :func:`repro.synth.realize.table_for_cells`), so a worker loads
-    the finished pickle — or, on a truly cold cache, builds and persists
-    it once for its siblings — before its first cell instead of paying
-    the derivation inside every cell's synthesis stage.  Best-effort:
-    custom architectures registered only in the parent are skipped.
-    """
-    from ..synth.realize import baseline_table, compaction_table
-
-    for arch in arch_names:
-        try:
-            baseline_table(arch)
-            compaction_table(arch)
-        except ValueError:
-            continue
+from .scheduler import run_stage_graph
 
 
 def resolve_jobs(jobs: Optional[int]) -> int:
-    """Normalize a ``--jobs`` value: ``None``/``0`` -> 1, negatives -> CPUs."""
+    """Normalize a ``--jobs`` value: ``None``/``0`` -> 1, negatives -> CPUs.
+
+    "CPUs" are the ones this process may run on: its affinity mask where
+    the OS has one (``taskset``, cgroup cpusets), else ``os.cpu_count()``.
+    """
     if jobs is None or jobs == 0:
         return 1
     if jobs < 0:
+        if hasattr(os, "sched_getaffinity"):
+            return max(1, len(os.sched_getaffinity(0)))
         return max(1, os.cpu_count() or 1)
     return jobs
-
-
-SCHEDULES = ("cell", "stage")
 
 
 def run_cells(
@@ -99,79 +47,24 @@ def run_cells(
     jobs: Optional[int] = None,
     cancel: Optional[Callable[[], bool]] = None,
 ) -> Dict[Tuple[str, str], DesignRun]:
-    """Run every (design, arch) cell, serially or across processes.
-
-    ``options.schedule`` picks the parallel decomposition when
-    ``jobs > 1``: ``"stage"`` (default) hands the matrix to the
-    stage-graph scheduler (:mod:`repro.flow.scheduler`), which pipelines
-    (cell, stage) tasks across workers; ``"cell"`` is the legacy pool
-    that ships one whole cell per worker.  ``jobs <= 1`` is always the
-    exact serial path.  All three produce bit-identical results — the
-    schedule only changes wall-clock.
+    """Run every (design, arch) cell through the stage DAG.
 
     The result dict is keyed by cell in the order given, regardless of
     worker completion order, so downstream table formatting is identical
-    for any job count.
-
-    With observation on, the whole matrix produces *one* merged journal:
-    worker event fragments are absorbed in a deterministic order (cell
-    order for the cell pool, task order for the stage graph) and written
-    by the parent at the end.
-
-    ``cancel`` is polled between cells (serial path) or between task
-    dispatches (stage graph); once it returns True the run raises
-    :class:`~repro.flow.scheduler.SchedulerInterrupted` after an orderly
-    shutdown.  Completed stages are already in the stage cache, so a
-    rerun of the same matrix resumes warm.  (The legacy cell pool has no
-    mid-cell hook; ``repro.serve`` always cancels via the serial or
-    stage-graph paths.)
+    for any job count.  A failing stage raises
+    :class:`~repro.flow.scheduler.StageFailure` carrying every unaffected
+    cell's result.  ``cancel`` is polled before every stage task (jobs=1)
+    or dispatch (jobs>1); once it returns True the run raises
+    :class:`~repro.flow.scheduler.FlowCancelled`.  Completed stages are
+    already in the stage cache, so a rerun of the same matrix resumes
+    warm.
     """
     jobs = resolve_jobs(jobs)
-    schedule = options.schedule
-    if schedule not in SCHEDULES:
-        raise ValueError(
-            f"unknown schedule {schedule!r} (choices: {SCHEDULES})"
-        )
-    own_trace = _observing(options) and _obs.begin()
-    runs: Dict[Tuple[str, str], DesignRun] = {}
+    own_trace = (options.observe or _obs.env_requested()) and _obs.begin()
     try:
-        if jobs <= 1 or (schedule == "cell" and len(cells) <= 1):
-            from .scheduler import SchedulerInterrupted
-
-            with _obs.span("run_cells", cells=len(cells), jobs=1):
-                for index, cell in enumerate(cells):
-                    if cancel is not None and cancel():
-                        raise SchedulerInterrupted(
-                            done=index, pending=len(cells) - index
-                        )
-                    runs[cell] = _run_cell(cell, scale, options)[1]
-        elif schedule == "stage":
-            from .scheduler import run_stage_graph
-
-            with _obs.span(
-                "run_cells", cells=len(cells), jobs=jobs, schedule="stage"
-            ):
-                runs = run_stage_graph(cells, scale, options, jobs,
-                                       cancel=cancel)
-        else:
-            arch_names = tuple(
-                dict.fromkeys(arch for _design, arch in cells)
-            )
-            with _obs.span(
-                "run_cells", cells=len(cells), jobs=jobs, schedule="cell"
-            ):
-                with ProcessPoolExecutor(
-                    max_workers=min(jobs, len(cells)),
-                    initializer=_warm_worker,
-                    initargs=(arch_names,),
-                ) as pool:
-                    for cell, run, events in pool.map(
-                        _run_cell, cells, [scale] * len(cells),
-                        [options] * len(cells),
-                    ):
-                        runs[cell] = run
-                        if events:
-                            _obs.absorb(events)
+        with _obs.span("run_cells", cells=len(cells), jobs=jobs):
+            runs = run_stage_graph(cells, scale, options, jobs,
+                                   cancel=cancel)
     finally:
         # Finalize even on a failed run so partial traces (e.g. a
         # StageFailure with some cells completed) still yield a journal.

@@ -1,49 +1,49 @@
-"""Stage-graph pipelined scheduler for the evaluation matrix.
+"""The stage DAG: the one code path that runs flow stages.
 
-The cell-granularity pool (:mod:`repro.flow.parallel`, ``schedule="cell"``)
-ships whole (design, arch) cells to workers: each worker walks
-synthesis -> physical -> route_a -> packing -> route_b serially, so once
-the number of remaining cells drops below the worker count, cores idle —
-the matrix wall-clock is ``ceil(cells / jobs) x cell_time`` even though
-the stages themselves are independently schedulable units.
+Every flow run — one cell (:func:`repro.flow.flow.run_design`) or the
+evaluation matrix (:func:`repro.flow.parallel.run_cells`) at any job
+count — is decomposed into an explicit task DAG of (cell, stage) nodes
+(40 tasks for the paper's full 8-cell matrix) whose edges come straight
+from :data:`repro.flow.flow.STAGE_INPUTS`, the same relation the sha256
+cache-key chain mirrors.  Only the worker count decides how the DAG
+executes:
 
-This module decomposes the matrix into an explicit task DAG of
-(cell, stage) nodes — 40 tasks for the paper's full 8-cell matrix —
-whose edges come straight from :data:`repro.flow.flow.STAGE_INPUTS`
-(the same relation the sha256 cache-key chain mirrors), and executes it
-on a persistent warm worker pool with critical-path-first priority:
-cell B's synthesis overlaps cell A's physical stage, and the wall-clock
-approaches ``max(critical_path, total_work / jobs)``.
+* **jobs=1: in the calling process**, in task-id order.  That order is
+  cell-major (one cell's five stages, then the next cell's), which is
+  the order a loop over cells would take; critical-path priority only
+  matters with more than one worker.  There is no pool and no transport
+  directory: artifacts pass in memory, each cached stage costs one cache
+  ``get`` and each computed stage one ``put``, and the finished
+  :class:`~repro.flow.flow.DesignRun` holds the very objects computed.
+* **jobs>1: on a pool of warm worker processes** with critical-path-first
+  priority, so cell B's synthesis overlaps cell A's physical stage and
+  the wall-clock approaches ``max(critical_path, total_work / jobs)``.
+  Tasks communicate through the content-addressed stage cache
+  (:mod:`repro.flow.cache`): a task writes its artifact under its stage
+  key and dependents read it in their own worker, so only small
+  task-spec/result tuples cross the executor.  With caching disabled a
+  private *transport* cache in a temporary directory stands in and is
+  deleted when the run ends, so ``use_cache=False`` still recomputes
+  everything and persists nothing.  Each worker keeps its last few
+  deserialized artifacts in an LRU, so a worker that runs consecutive
+  stages of one cell never re-reads the pickle.
 
-Three mechanisms keep scheduling overhead low:
+DAG nodes whose (stage, key) another node already claimed collapse onto
+it (duplicate cells share one computation); in the pool, nodes whose key
+is already cached are marked done before any worker sees them, so a warm
+matrix dispatches zero tasks.
 
-* **Artifact passing by cache reference.**  Tasks communicate through
-  the content-addressed stage cache (:mod:`repro.flow.cache`): a task
-  writes its artifact under its stage key, dependents read it locally
-  in their own worker — nothing but small task-spec/result tuples ever
-  crosses the executor.  With caching disabled the scheduler substitutes
-  a private *transport* cache in a temporary directory that is deleted
-  when the run ends, so ``use_cache=False`` still recomputes everything
-  and persists nothing.
-* **Worker-local artifact LRU.**  Each worker keeps its last few
-  deserialized artifacts keyed by (stage, key); a worker that runs
-  consecutive stages of the same cell never touches the pickle at all.
-* **Cache-aware dedup.**  DAG nodes whose (stage, key) is already
-  claimed by another node collapse onto it (duplicate cells share one
-  computation), and nodes whose key already exists in the cache are
-  marked done before the pool ever sees them — a warm matrix runs zero
-  tasks.
+Results are bit-identical at any job count: stages are pure functions of
+(inputs, options slice, seed), and assembly walks cells in input order.
 
-Determinism is preserved by construction: stages are pure functions of
-(inputs, options, seed), every task records results under content
-addresses, and result assembly walks cells in input order — so serial,
-``schedule="cell"``, and ``schedule="stage"`` runs are bit-identical at
-any worker count (asserted in ``tests/test_scheduler.py``).
-
-A stage task that raises fails only the cells that transitively depend
-on it: its original traceback is captured in the worker, unaffected
-cells complete normally, and the run ends with :class:`StageFailure`
-carrying both the traceback and every completed cell's result.
+The failure and cancellation contract is the same at every job count.
+A stage that raises fails only the cells that transitively depend on it;
+unaffected cells complete, and the run ends with :class:`StageFailure`
+carrying the original traceback and every completed cell's result.  The
+``cancel`` hook is polled before every task (jobs=1) or every dispatch
+(jobs>1); once it returns True the run stops starting tasks and raises
+:class:`FlowCancelled`.  Finished stages are already in the stage cache,
+so a rerun resumes warm.
 """
 
 from __future__ import annotations
@@ -55,12 +55,13 @@ import time
 import traceback
 from collections import OrderedDict
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
+from ..netlist.core import Netlist
 from ..obs import core as _obs
-from .cache import CacheStats, StageCache, cache_globally_disabled
+from .cache import CacheStats, NullCache, StageCache
 from .flow import (
     _RECURSION_LIMIT,
     STAGE_INPUTS,
@@ -87,22 +88,23 @@ STAGE_WEIGHTS: Dict[str, float] = {
 }
 
 
-class SchedulerInterrupted(RuntimeError):
-    """The stage-graph run was cancelled before the DAG drained.
+class FlowCancelled(RuntimeError):
+    """The ``cancel`` hook stopped a run before its DAG drained.
 
-    Raised when the ``cancel`` hook fires (or re-raised alongside a
-    ``KeyboardInterrupt``) after the orderly shutdown path ran: queued
-    futures cancelled, in-flight stage tasks finished (their artifacts
-    land in the cache, so a rerun resumes warm), the dispatch heap
-    drained, and the transport directory cleaned.  ``done`` counts tasks
-    that completed; ``pending`` counts tasks that never ran.
+    ``cell``/``next_stage`` name the first task that never ran, ``done``
+    counts tasks that completed (their artifacts are in the stage cache,
+    so the same request resubmitted later resumes warm from them) and
+    ``pending`` counts tasks that never ran.
     """
 
-    def __init__(self, done: int, pending: int):
+    def __init__(self, cell: Cell, next_stage: str, done: int, pending: int):
+        self.cell = cell
+        self.next_stage = next_stage
         self.done = done
         self.pending = pending
         super().__init__(
-            f"stage-graph run interrupted: {done} task(s) completed, "
+            f"flow cancelled before stage {next_stage!r} of "
+            f"{cell[0]}/{cell[1]}: {done} task(s) completed, "
             f"{pending} cancelled before running"
         )
 
@@ -111,10 +113,11 @@ class StageFailure(RuntimeError):
     """A stage task raised; only its dependent cells were lost.
 
     ``cell``/``stage`` locate the first failing task, ``traceback_text``
-    is the original worker-side traceback, ``failed`` lists every
-    (cell, stage) pair that failed or was skipped because an upstream
-    task failed, and ``completed`` maps every unaffected cell to its
-    finished :class:`~repro.flow.flow.DesignRun`.
+    is the original traceback (worker-side at jobs>1), ``failed`` lists
+    every (cell, stage) pair that failed or was skipped because an
+    upstream task failed, and ``completed`` maps every unaffected cell to
+    its finished :class:`~repro.flow.flow.DesignRun`.  At jobs=1 the
+    original exception is also chained as ``__cause__``.
     """
 
     def __init__(
@@ -160,6 +163,7 @@ class _Task:
     stats: Optional[CacheStats] = None
     events: Optional[List[dict]] = None
     error: Optional[str] = None
+    exc: Optional[Exception] = None  # in-process runs only
 
 
 @dataclass(frozen=True)
@@ -238,22 +242,59 @@ def build_task_graph(
 
 
 # ----------------------------------------------------------------------
-# Worker side
+# One stage, in either executor
+# ----------------------------------------------------------------------
+
+def _run_task(
+    stage: str,
+    key: str,
+    cell: Cell,
+    options: FlowOptions,
+    cache: StageCache,
+    fetch: Callable[[str, str], object],
+    inputs: Callable[[], Dict[str, object]],
+    netlist: Callable[[], Netlist],
+) -> Tuple[object, bool, float]:
+    """Load one stage artifact, or compute and store it on a miss.
+
+    ``fetch`` reads an artifact by (stage, key), ``inputs`` supplies the
+    upstream artifacts and ``netlist`` the source netlist; the latter two
+    are called only when needed.  Returns ``(artifact, hit, seconds)``.
+    """
+    start = time.perf_counter()  # check: allow(DT002) stage timing report only
+    with _obs.span(
+        f"flow.{stage}", stage=stage, design=cell[0], arch=cell[1],
+        sched="stage",
+    ) as sp:
+        artifact = fetch(stage, key)
+        hit = artifact is not None
+        upstream = inputs() if not hit or options.check else {}
+        if not hit:
+            artifact = compute_stage(
+                stage, options, upstream,
+                netlist=netlist() if stage == "synthesis" else None,
+            )
+            cache.put(stage, key, artifact)
+        guard_stage(
+            stage, options, {**upstream, stage: artifact},
+            f"{cell[0]}/{cell[1]}",
+        )
+        sp.set(cached=hit)
+    elapsed = time.perf_counter() - start  # check: allow(DT002) stage timing report only
+    _obs.observe(f"stage.seconds.{stage}", elapsed)
+    return artifact, hit, elapsed
+
+
+# ----------------------------------------------------------------------
+# Worker side (jobs > 1)
 # ----------------------------------------------------------------------
 
 #: Worker-local artifact LRU keyed by (stage, key).  A worker that runs
 #: consecutive stages of one cell hits this and never re-deserializes;
-#: sized to hold a full cell's artifacts plus a neighbor's.
+#: sized to hold a full cell's artifacts plus a neighbor's.  Only pool
+#: workers touch it, so no artifact outlives the pool that loaded it.
 _LRU: "OrderedDict[Tuple[str, str], object]" = OrderedDict()
 _LRU_CAPACITY = 8
-
-
-def _lru_get(entry: Tuple[str, str]):
-    artifact = _LRU.get(entry)
-    if artifact is not None:
-        _LRU.move_to_end(entry)
-        _obs.counter("sched.lru.hit")
-    return artifact
 
 
 def _lru_put(entry: Tuple[str, str], artifact) -> None:
@@ -265,12 +306,21 @@ def _lru_put(entry: Tuple[str, str], artifact) -> None:
 
 def _fetch(cache: StageCache, stage: str, key: str):
     """LRU -> cache lookup for one artifact (None on miss)."""
-    artifact = _lru_get((stage, key))
-    if artifact is None:
-        artifact = cache.get(stage, key)
-        if artifact is not None:
-            _lru_put((stage, key), artifact)
+    artifact = _LRU.get((stage, key))
+    if artifact is not None:
+        _LRU.move_to_end((stage, key))
+        _obs.counter("sched.lru.hit")
+        return artifact
+    artifact = cache.get(stage, key)
+    if artifact is not None:
+        _lru_put((stage, key), artifact)
     return artifact
+
+
+def _build(spec: _TaskSpec) -> Netlist:
+    from .experiments import build_design
+
+    return build_design(spec.design, spec.scale)
 
 
 def _resolve(
@@ -291,11 +341,7 @@ def _resolve(
         parent: _resolve(cache, spec, parent, keys)
         for parent in STAGE_INPUTS[stage]
     }
-    netlist = None
-    if stage == "synthesis":
-        from .experiments import build_design
-
-        netlist = build_design(spec.design, spec.scale)
+    netlist = _build(spec) if stage == "synthesis" else None
     artifact = compute_stage(stage, spec.options, inputs, netlist=netlist)
     cache.put(stage, keys[stage], artifact)
     _lru_put((stage, keys[stage]), artifact)
@@ -314,92 +360,98 @@ def _run_stage_task(spec: _TaskSpec) -> tuple:
         sys.setrecursionlimit(_RECURSION_LIMIT)
     own_trace = spec.observe and _obs.begin()
     cache = StageCache(root=Path(spec.cache_root), respect_env=False)
-    options = spec.options
     keys = dict(spec.input_keys)
     keys[spec.stage] = spec.key
     error: Optional[str] = None
-    hit = False
-    start = time.perf_counter()  # check: allow(DT002) stage timing report only
+    hit, elapsed = False, 0.0
     try:
-        with _obs.span(
-            f"flow.{spec.stage}", stage=spec.stage, design=spec.design,
-            arch=spec.arch, sched="stage",
-        ) as sp:
-            artifact = _fetch(cache, spec.stage, spec.key)
-            hit = artifact is not None
-            inputs: Dict[str, object] = {}
-            if not hit or options.check:
-                inputs = {
-                    parent: _resolve(cache, spec, parent, keys)
-                    for parent in STAGE_INPUTS[spec.stage]
-                }
-            if not hit:
-                netlist = None
-                if spec.stage == "synthesis":
-                    from .experiments import build_design
-
-                    netlist = build_design(spec.design, spec.scale)
-                artifact = compute_stage(
-                    spec.stage, options, inputs, netlist=netlist
-                )
-                cache.put(spec.stage, spec.key, artifact)
-                _lru_put((spec.stage, spec.key), artifact)
-            if options.check:
-                guard_stage(
-                    spec.stage, options,
-                    {**inputs, spec.stage: artifact},
-                    f"{spec.design}/{spec.arch}",
-                )
-            sp.set(cached=hit)
+        artifact, hit, elapsed = _run_task(
+            spec.stage, spec.key, (spec.design, spec.arch), spec.options,
+            cache,
+            fetch=lambda stage, key: _fetch(cache, stage, key),
+            inputs=lambda: {
+                parent: _resolve(cache, spec, parent, keys)
+                for parent in STAGE_INPUTS[spec.stage]
+            },
+            netlist=lambda: _build(spec),
+        )
+        _lru_put((spec.stage, spec.key), artifact)
     except Exception:
         error = traceback.format_exc()
-    elapsed = time.perf_counter() - start  # check: allow(DT002) stage timing report only
     events = _obs.drain() if own_trace else None
     return spec.tid, hit, elapsed, cache.stats, events, error
+
+
+def _warm_worker(arch_names: Tuple[str, ...]) -> None:
+    """Pool initializer: preload realization tables in each worker.
+
+    The tables are persisted through the content-addressed stage cache
+    (see :func:`repro.synth.realize.table_for_cells`), so a worker loads
+    the finished pickle — or, on a truly cold cache, builds and persists
+    it — before its first task instead of paying the derivation inside a
+    synthesis task.  Best-effort: custom architectures registered only
+    in the parent are skipped.
+    """
+    from ..synth.realize import baseline_table, compaction_table
+
+    for arch in arch_names:
+        try:
+            baseline_table(arch)
+            compaction_table(arch)
+        except ValueError:
+            continue
 
 
 # ----------------------------------------------------------------------
 # Parent side
 # ----------------------------------------------------------------------
 
-def _observing(options: FlowOptions) -> bool:
-    return options.observe or _obs.env_requested()
-
-
 def run_stage_graph(
     cells: Sequence[Cell],
-    scale: float,
+    scale: Optional[float],
     options: FlowOptions,
     jobs: int,
     cancel: Optional[Callable[[], bool]] = None,
+    netlists: Optional[Dict[str, Netlist]] = None,
+    cache: Optional[StageCache] = None,
+    progress: Optional[Callable[[str, bool, float], None]] = None,
 ) -> Dict[Cell, DesignRun]:
-    """Run the matrix as a pipelined (cell, stage) task DAG.
+    """Run ``cells`` as a (cell, stage) task DAG; ``jobs`` picks the executor.
 
     The result dict is keyed by cell in input order and is bit-identical
-    to the serial and cell-pool paths for any ``jobs``.  Raises
-    :class:`StageFailure` when any task fails (after every unaffected
-    cell has completed).
+    for any ``jobs``.  Raises :class:`StageFailure` when any task fails
+    (after every unaffected cell has completed) and
+    :class:`FlowCancelled` once ``cancel`` returns True.  A
+    ``KeyboardInterrupt`` at jobs>1 shuts the pool down in order and is
+    re-raised; the transport directory is always cleaned up.
 
-    ``cancel`` is polled between dispatches; once it returns True the
-    run shuts down in order — no new tasks dispatched, queued futures
-    cancelled, in-flight tasks finished (their artifacts stay cached) —
-    and raises :class:`SchedulerInterrupted`.  A ``KeyboardInterrupt``
-    (Ctrl-C mid-matrix) takes the same orderly path and is re-raised.
-    Either way the transport directory is always cleaned up.
+    ``cache`` overrides the stage cache chosen from
+    ``options.use_cache``.  Two hooks serve
+    :func:`~repro.flow.flow.run_design` and need ``jobs=1``:
+    ``netlists`` supplies source netlists by design name instead of
+    building them at ``scale`` (pool workers build by name, so a
+    supplied netlist would not be the one its key hashes), and
+    ``progress`` is called with ``(stage, cache_hit, seconds)`` after
+    each task.
     """
     from .experiments import build_design
-    from .parallel import _warm_worker
 
+    if (netlists or progress) and jobs > 1:
+        raise ValueError("netlists and progress need jobs=1")
     cells = list(dict.fromkeys(cells))
+    if cache is None:
+        cache = StageCache() if options.use_cache else NullCache()
+    designs = dict(netlists or {})
+    for design, _arch in cells:
+        if design not in designs:
+            designs[design] = build_design(design, scale)
     transport: Optional[tempfile.TemporaryDirectory] = None
-    if options.use_cache and not cache_globally_disabled():
-        cache = StageCache()
-    else:
+    if jobs > 1 and not cache.enabled:
         transport = tempfile.TemporaryDirectory(prefix="repro-stage-ipc-")
         cache = StageCache(root=Path(transport.name), respect_env=False)
     try:
-        return _run_graph(cells, scale, options, jobs, cache, build_design,
-                          _warm_worker, cancel)
+        return _run_graph(cells, designs, scale, options, jobs, cache,
+                          cancel, progress)
     finally:
         if transport is not None:
             transport.cleanup()
@@ -407,27 +459,22 @@ def run_stage_graph(
 
 def _run_graph(
     cells: List[Cell],
-    scale: float,
+    designs: Dict[str, Netlist],
+    scale: Optional[float],
     options: FlowOptions,
     jobs: int,
     cache: StageCache,
-    build_design,
-    warm_worker,
-    cancel: Optional[Callable[[], bool]] = None,
+    cancel: Optional[Callable[[], bool]],
+    progress: Optional[Callable[[str, bool, float], None]],
 ) -> Dict[Cell, DesignRun]:
-    observe = _observing(options)
-    designs = {}
-    for design, _arch in cells:
-        if design not in designs:
-            designs[design] = build_design(design, scale)
-    cell_options = {
-        cell: options.with_arch(cell[1]) for cell in cells
-    }
+    cell_options = {cell: options.with_arch(cell[1]) for cell in cells}
     cell_keys = {
         cell: stage_keys(cache, designs[cell[0]], cell_options[cell])
         for cell in cells
     }
-    cached_keys = {
+    # In-process every task reads its own key anyway, so only the pool
+    # collapses cached keys up front.
+    cached_keys = set() if jobs <= 1 else {
         (stage, keys[stage])
         for keys in cell_keys.values()
         for stage in STAGES
@@ -439,14 +486,20 @@ def _run_graph(
         for cell in task.cells:
             cell_tasks[cell][task.stage] = task
 
+    names = {design: netlist.name for design, netlist in designs.items()}
     runnable = [t for t in tasks if t.state == "pending"]
     with _obs.span(
         "sched.graph", cells=len(cells), tasks=len(tasks),
         precached=len(tasks) - len(runnable), jobs=jobs,
     ):
-        if runnable:
+        if jobs <= 1:
+            artifacts = _run_inline(
+                tasks, cell_tasks, designs, cell_options, cache, cancel,
+                progress,
+            )
+        elif runnable:
             _execute(tasks, runnable, cells, cell_options, cell_keys,
-                     scale, cache, jobs, observe, warm_worker, cancel)
+                     scale, cache, jobs, cancel)
         # Merge worker trace fragments in task order — deterministic for
         # any worker count or completion order.
         for task in tasks:
@@ -465,10 +518,17 @@ def _run_graph(
         for cell in cells:
             if cell in lost_cells:
                 continue
-            runs[cell] = _assemble(
-                cell, designs[cell[0]], cell_options[cell],
-                cell_keys[cell], cell_tasks[cell], cache,
-            )
+            if jobs <= 1:
+                runs[cell] = _design_run(
+                    cell, names[cell[0]], cell_tasks[cell],
+                    {s: artifacts[t.tid] for s, t in cell_tasks[cell].items()},
+                    CacheStats(),
+                )
+            else:
+                runs[cell] = _assemble(
+                    cell, designs[cell[0]], cell_options[cell],
+                    cell_keys[cell], cell_tasks[cell], cache,
+                )
 
     if failed:
         first = min(
@@ -478,8 +538,81 @@ def _run_graph(
             cell=first.cell, stage=first.stage,
             traceback_text=first.error or "",
             failed=failed, completed=runs,
-        )
+        ) from first.exc
     return runs
+
+
+def _skip_dependents(tasks: List[_Task], tid: int) -> None:
+    stack = list(tasks[tid].dependents)
+    while stack:
+        dependent = tasks[stack.pop()]
+        if dependent.state in ("skipped", "failed"):
+            continue
+        dependent.state = "skipped"
+        stack.extend(dependent.dependents)
+
+
+def _cancelled(tasks: List[_Task]) -> FlowCancelled:
+    """Mark every unrun task skipped; the exception describing that."""
+    unrun = [t for t in tasks if t.state in ("pending", "running")]
+    for task in unrun:
+        task.state = "skipped"
+    done = sum(1 for t in tasks if t.state in ("done", "cached"))
+    pending = sum(1 for t in tasks if t.state == "skipped")
+    _obs.point("sched.interrupted", done=done, skipped=pending)
+    return FlowCancelled(unrun[0].cell, unrun[0].stage, done, pending)
+
+
+def _run_inline(
+    tasks: List[_Task],
+    cell_tasks: Dict[Cell, Dict[str, _Task]],
+    designs: Dict[str, Netlist],
+    cell_options: Dict[Cell, FlowOptions],
+    cache: StageCache,
+    cancel: Optional[Callable[[], bool]],
+    progress: Optional[Callable[[str, bool, float], None]],
+) -> Dict[int, object]:
+    """Run every task in this process, in task order; artifacts by tid.
+
+    Only synthesis reads a source netlist, so each is dropped from
+    ``designs`` after its design's last synthesis task, as a loop over
+    cells would.
+    """
+    artifacts: Dict[int, object] = {}
+    last_reader = {t.cell[0]: t for t in tasks if t.stage == "synthesis"}
+    for task in tasks:
+        if task.state != "pending":  # skipped: an upstream task failed
+            continue
+        if cancel is not None and cancel():
+            raise _cancelled(tasks)
+        mine = cell_tasks[task.cell]
+        before = replace(cache.stats)
+        try:
+            artifact, task.hit, task.elapsed = _run_task(
+                task.stage, task.key, task.cell, cell_options[task.cell],
+                cache,
+                fetch=cache.get,
+                inputs=lambda: {
+                    parent: artifacts[mine[parent].tid]
+                    for parent in STAGE_INPUTS[task.stage]
+                },
+                netlist=lambda: designs[task.cell[0]],
+            )
+        except Exception as exc:
+            task.state, task.error, task.exc = (
+                "failed", traceback.format_exc(), exc
+            )
+            _skip_dependents(tasks, task.tid)
+            continue
+        finally:
+            task.stats = cache.stats.since(before)
+            if last_reader[task.cell[0]] is task:
+                del designs[task.cell[0]]
+        task.state = "done"
+        artifacts[task.tid] = artifact
+        if progress is not None:
+            progress(task.stage, task.hit, task.elapsed)
+    return artifacts
 
 
 def _execute(
@@ -488,12 +621,10 @@ def _execute(
     cells: List[Cell],
     cell_options: Dict[Cell, FlowOptions],
     cell_keys: Dict[Cell, Dict[str, str]],
-    scale: float,
+    scale: Optional[float],
     cache: StageCache,
     jobs: int,
-    observe: bool,
-    warm_worker,
-    cancel: Optional[Callable[[], bool]] = None,
+    cancel: Optional[Callable[[], bool]],
 ) -> None:
     """Drive the pool: highest-priority ready task first, until drained."""
     ready: List[Tuple[float, int]] = [
@@ -515,22 +646,13 @@ def _execute(
                 for parent in STAGE_INPUTS[task.stage]
             ),
             cache_root=str(cache.root), options=cell_options[cell],
-            observe=observe,
+            observe=_obs.active(),
         )
 
-    def skip_dependents(tid: int) -> None:
-        stack = list(tasks[tid].dependents)
-        while stack:
-            dependent = tasks[stack.pop()]
-            if dependent.state in ("skipped", "failed"):
-                continue
-            dependent.state = "skipped"
-            stack.extend(dependent.dependents)
-
-    def interrupt(pool) -> None:
-        """Orderly shutdown: drain the heap, cancel queued futures, let
-        in-flight tasks finish (their artifacts are already headed for
-        the cache), and mark everything unrun as skipped."""
+    def shut_down(pool) -> None:
+        """Orderly shutdown: drain the heap, cancel queued futures and
+        let in-flight tasks finish (their artifacts are already headed
+        for the cache)."""
         ready.clear()
         for future in list(inflight):
             future.cancel()
@@ -538,33 +660,17 @@ def _execute(
             pool.shutdown(wait=True, cancel_futures=True)
         except Exception:  # a dead worker must not mask the interrupt
             pass
-        for task in tasks:
-            if task.state in ("pending", "running"):
-                task.state = "skipped"
-        _obs.point(
-            "sched.interrupted",
-            done=sum(1 for t in tasks if t.state in ("done", "cached")),
-            skipped=sum(1 for t in tasks if t.state == "skipped"),
-        )
 
     with ProcessPoolExecutor(
         max_workers=workers,
-        initializer=warm_worker,
+        initializer=_warm_worker,
         initargs=(arch_names,),
     ) as pool:
         try:
             while ready or inflight:
                 if cancel is not None and cancel():
-                    interrupt(pool)
-                    raise SchedulerInterrupted(
-                        done=sum(
-                            1 for t in tasks
-                            if t.state in ("done", "cached")
-                        ),
-                        pending=sum(
-                            1 for t in tasks if t.state == "skipped"
-                        ),
-                    )
+                    shut_down(pool)
+                    raise _cancelled(tasks)
                 while ready and len(inflight) < workers:
                     _neg, tid = heapq.heappop(ready)
                     task = tasks[tid]
@@ -597,7 +703,7 @@ def _execute(
                     if error is not None:
                         task.state = "failed"
                         task.error = error
-                        skip_dependents(tid)
+                        _skip_dependents(tasks, tid)
                         continue
                     task.state = "done"
                     for did in task.dependents:
@@ -614,19 +720,48 @@ def _execute(
             # future.result()): take the same orderly path, then let the
             # interrupt propagate — run_stage_graph's finally still
             # removes the transport directory.
-            interrupt(pool)
+            shut_down(pool)
             raise
+
+
+def _design_run(
+    cell: Cell,
+    design: str,
+    stage_tasks: Dict[str, _Task],
+    artifacts: Dict[str, object],
+    stats: CacheStats,
+) -> DesignRun:
+    """One cell's DesignRun from its stage artifacts and tasks."""
+    for task in stage_tasks.values():
+        # A task's cache traffic is attributed to its primary cell only,
+        # so dedup never double-counts volume.
+        if task.stats is not None and task.cell == cell:
+            stats.merge(task.stats)
+    return DesignRun(
+        design=design,
+        arch_name=cell[1],
+        synthesis=artifacts["synthesis"],
+        physical=artifacts["physical"],
+        flow_a=artifacts["route_a"],
+        flow_b=artifacts["route_b"],
+        packed=artifacts["packing"],
+        stage_seconds={
+            stage: stage_tasks[stage].elapsed for stage in STAGES
+        },
+        stage_cached={stage: stage_tasks[stage].hit for stage in STAGES},
+        cache_stats=stats,
+    )
 
 
 def _assemble(
     cell: Cell,
-    netlist,
+    netlist: Netlist,
     options: FlowOptions,
     keys: Dict[str, str],
     stage_tasks: Dict[str, _Task],
     cache: StageCache,
 ) -> DesignRun:
-    """Build one cell's DesignRun from its content-addressed artifacts.
+    """Read one pool-run cell's artifacts back from the stage cache.
 
     Reads through a private cache handle so per-cell read stats stay
     separable; if any artifact fails to load (evicted or corrupted
@@ -644,26 +779,6 @@ def _assemble(
             _obs.counter("sched.assembly_recompute")
             return run_design(netlist, cell[1], options, cache=reader)
         artifacts[stage] = artifact
-
-    stats = CacheStats()
-    for stage, task in stage_tasks.items():
-        # A task's worker-side cache traffic is attributed to its
-        # primary cell only, so dedup never double-counts volume.
-        if task.stats is not None and task.cell == cell:
-            stats.merge(task.stats)
-    stats.merge(reader.stats)
-    run = DesignRun(
-        design=netlist.name,
-        arch_name=cell[1],
-        synthesis=artifacts["synthesis"],
-        physical=artifacts["physical"],
-        flow_a=artifacts["route_a"],
-        flow_b=artifacts["route_b"],
-        packed=artifacts["packing"],
-        stage_seconds={
-            stage: stage_tasks[stage].elapsed for stage in STAGES
-        },
-        stage_cached={stage: stage_tasks[stage].hit for stage in STAGES},
-        cache_stats=stats,
+    return _design_run(
+        cell, netlist.name, stage_tasks, artifacts, reader.stats
     )
-    return run

@@ -154,12 +154,12 @@ def chrome_trace(events: List[Dict]) -> Dict:
 def format_gantt(events: List[Dict], width: int = 64) -> str:
     """ASCII Gantt chart of stage-graph scheduler tasks, one lane per worker.
 
-    Uses the ``flow.<stage>`` spans tagged ``sched="stage"`` that the
-    scheduler's workers record (:mod:`repro.flow.scheduler`); each bar is
+    Uses the ``flow.<stage>`` spans tagged ``sched="stage"`` that every
+    stage-DAG task records (:mod:`repro.flow.scheduler`); each bar is
     one (cell, stage) task positioned on the merged matrix timeline, so
     pipeline overlap — cell B's synthesis under cell A's physical stage —
-    is directly visible.  Journals without scheduler spans (serial or
-    cell-pool runs) get a short hint instead.
+    is directly visible.  Journals without such spans get a short hint
+    instead.
     """
     spans = [
         e for e in events
@@ -170,7 +170,7 @@ def format_gantt(events: List[Dict], width: int = 64) -> str:
     if not spans:
         return (
             "no scheduler task spans in this journal — record one with "
-            "`repro tables --jobs N --schedule stage --trace`"
+            "`repro tables --jobs N --trace`"
         )
     t0 = min(e.get("ts", 0.0) for e in spans)
     t1 = max(e.get("ts", 0.0) + e.get("dur", 0.0) for e in spans)

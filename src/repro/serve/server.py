@@ -103,7 +103,7 @@ class _Budget:
         self._lock = threading.Lock()
 
     def acquire(self, want: int) -> int:
-        """Grant up to ``want`` workers; 0 means run serially in-thread."""
+        """Grant up to ``want`` workers; 0 means run in this thread."""
         with self._lock:
             granted = min(max(0, want), self._free)
             self._free -= granted
@@ -173,8 +173,7 @@ class Executor:
     # -- one job -------------------------------------------------------
 
     def _execute(self, job: Job) -> None:
-        from ..flow.flow import FlowCancelled
-        from ..flow.scheduler import SchedulerInterrupted
+        from ..flow.scheduler import FlowCancelled
 
         spec = job.spec
         self.queue.emit(job.id, "job.state", id=job.id, state="running",
@@ -198,7 +197,7 @@ class Executor:
         started = time.monotonic()
         try:
             result = self._run_spec(job, should_stop)
-        except (FlowCancelled, SchedulerInterrupted) as exc:
+        except FlowCancelled as exc:
             if timed_out:
                 self.queue.fail(
                     job.id,
@@ -267,7 +266,8 @@ class Executor:
 
         # tables: the full evaluation matrix as one job.  The shared
         # subprocess budget decides the fan-out; an exhausted budget
-        # degrades to the exact serial path, never to a queue stall.
+        # runs the stage DAG in this process (jobs=1, still cancellable
+        # before every stage), never a queue stall.
         cells = [(d, a) for d in DESIGNS for a in ARCHES]
         granted = self._budget.acquire(self.config.flow_jobs)
         try:

@@ -124,12 +124,11 @@ class TestExperimentHelpers:
         import repro.flow.experiments as exp
 
         calls = []
-        # Patch the flow entry point the serial cell runner resolves
-        # (repro.flow.parallel imports it from repro.flow.flow lazily).
+        # Patch the matrix runner run_matrix resolves.
         monkeypatch.setattr(
-            "repro.flow.flow.run_design",
-            lambda netlist, arch, options: calls.append((netlist.name, arch)) or
-            _fake_run(netlist, arch),
+            exp, "run_cells",
+            lambda cells, scale, options, jobs: calls.append(cells) or
+            dict.fromkeys(cells),
         )
         exp._matrix_cache.clear()
         m1 = exp.run_matrix(designs=("alu",), scale=0.2)
@@ -144,14 +143,6 @@ class TestExperimentHelpers:
         from repro.flow.experiments import run_figure2
 
         assert isinstance(run_figure2().format(), str)
-
-
-def _fake_run(netlist, arch):
-    class _Fake:
-        design = netlist.name
-        arch_name = arch
-
-    return _Fake()
 
 
 class TestSTAEdgeCases:

@@ -52,10 +52,6 @@ def perturbed(options, name):
     value = getattr(options, name)
     if name == "arch":
         return replace(options, arch="lut" if value != "lut" else "granular")
-    if name == "schedule":
-        return replace(
-            options, schedule="cell" if value != "cell" else "stage"
-        )
     if isinstance(value, bool):
         return replace(options, **{name: not value})
     if isinstance(value, int):
@@ -166,8 +162,6 @@ PINNED_KEYS = {
             "29c03d4cf51b5b08e39bb1ffbcebc0016abcb882298c4cfee9a9766a2069cace",
         "run_compaction":
             "c32036212b449de1184045988b78c5ff2c818b1612a674c70ab263336cfcf34a",
-        "schedule":
-            "445747866479d12a91f98be82072e05d85aad0238667cbfc00231a6fb6dfb6f2",
         "seed":
             "928c63f877e0b61e90cdbdf3702e7faa0f0110c4c568a4a8851ab0de91ee5408",
         "use_cache":
@@ -209,8 +203,6 @@ PINNED_KEYS = {
             "b7767fc8655b36086ca677676ca12cc5dec37507c003afe4bbbf60830751c5c3",
         "run_compaction":
             "d6d39f0d9508f94afc632ebc534d6340ddfc6093adf83b582ab54b42ff739fdc",
-        "schedule":
-            "cbe1174c3ae3326a09510685f2635affe33dc4505f5595b27cdbe22b78f192de",
         "seed":
             "511c33bcbc9957bfaed39ef1755d3e9e8a95f5fd211b402e331828e17c61fb0b",
         "use_cache":

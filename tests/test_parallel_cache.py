@@ -5,6 +5,7 @@ changes results, a cache hit is value-equal to a cold computation, and a
 corrupted cache entry is detected and recomputed rather than trusted.
 """
 
+import os
 import warnings
 
 import pytest
@@ -65,6 +66,20 @@ class TestResolveJobs:
 
     def test_negative_means_all_cpus(self):
         assert resolve_jobs(-1) >= 1
+
+    def test_negative_follows_cpu_affinity(self, monkeypatch):
+        """``--jobs -1`` under ``taskset -c 0`` starts one worker, not one
+        per CPU of the machine."""
+        monkeypatch.setattr(
+            os, "sched_getaffinity", lambda pid: {0}, raising=False
+        )
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        assert resolve_jobs(-1) == 1
+
+    def test_negative_without_affinity_uses_cpu_count(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert resolve_jobs(-1) == 3
 
 
 class TestSerialParallelIdentical:

@@ -1,16 +1,21 @@
-"""Tests for the stage-graph scheduler (``repro.flow.scheduler``).
+"""Tests for the stage DAG (``repro.flow.scheduler``), the one code path
+that runs flow stages.
 
 Three contracts:
 
 * **Structure** — the task DAG mirrors ``STAGE_INPUTS`` exactly, dedups
   nodes on (stage, key), collapses already-cached keys, and orders ready
   tasks critical-path-first.
-* **Determinism** — serial, ``schedule="cell"``, and ``schedule="stage"``
-  produce bit-identical tables at any ``--jobs``; the transport path
-  (``use_cache=False``) persists nothing.
-* **Failure isolation** — a raising stage task fails only the cells that
-  transitively depend on it, surfaces the original worker traceback, and
-  leaves every other cell's finished result intact.
+* **Determinism** — the in-process executor (``jobs=1``) and the worker
+  pool produce bit-identical tables at any ``--jobs``; the transport
+  path (``use_cache=False``) persists nothing, and no artifact outlives
+  its run.
+* **Failure isolation and cancellation, at every job count** — a raising
+  stage task fails only the cells that transitively depend on it,
+  surfaces the original traceback, and leaves every other cell's
+  finished result intact; ``cancel`` stops a run before its next stage.
+  ``TestFailureIsolation`` and ``TestInterruption`` run at ``jobs=2``;
+  their ``InProcess`` subclasses rerun every test at ``jobs=1``.
 """
 
 from dataclasses import replace
@@ -22,6 +27,7 @@ from repro.flow.options import FlowOptions
 from repro.flow.parallel import run_cells
 from repro.flow.scheduler import (
     STAGE_WEIGHTS,
+    FlowCancelled,
     StageFailure,
     build_task_graph,
 )
@@ -116,28 +122,19 @@ class TestBitIdenticalSchedules:
     def test_all_schedules_identical_at_all_job_counts(
         self, tmp_path, monkeypatch
     ):
-        """Serial vs cell pool vs stage graph at jobs 1/2/4: same bytes.
+        """In-process (jobs=1) vs the pool at jobs 2/4: same bytes.
 
         Cache off, so every run recomputes every stage from scratch —
-        any drift between the execution modes would change the
-        full-precision table text.
+        any drift between the executors would change the full-precision
+        table text.
         """
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         options = replace(FAST, use_cache=False)
-        serial = _table_text(
-            run_cells(CELLS, SCALE, replace(options, schedule="cell"), jobs=1)
-        )
-        variants = {
-            "cell@2": run_cells(
-                CELLS, SCALE, replace(options, schedule="cell"), jobs=2
-            ),
-            "stage@1": run_cells(CELLS, SCALE, options, jobs=1),
-            "stage@2": run_cells(CELLS, SCALE, options, jobs=2),
-            "stage@4": run_cells(CELLS, SCALE, options, jobs=4),
-        }
-        for label, runs in variants.items():
-            assert list(runs) == CELLS, label
-            assert _table_text(runs) == serial, label
+        inline = _table_text(run_cells(CELLS, SCALE, options, jobs=1))
+        for jobs in (2, 4):
+            runs = run_cells(CELLS, SCALE, options, jobs=jobs)
+            assert list(runs) == CELLS, jobs
+            assert _table_text(runs) == inline, jobs
 
     def test_stage_runs_report_all_stages(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
@@ -179,9 +176,15 @@ class TestBitIdenticalSchedules:
         assert list(runs) == CELLS
         assert not list(tmp_path.rglob("*.pkl"))
 
-    def test_unknown_schedule_rejected(self):
-        with pytest.raises(ValueError, match="unknown schedule"):
-            run_cells(CELLS, SCALE, replace(FAST, schedule="warp"), jobs=2)
+    def test_no_artifact_outlives_its_run(self, tmp_path, monkeypatch):
+        """An in-process run leaves nothing in a process global for the
+        forked workers of a later pool run: with the cache off, that run
+        computes every stage."""
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        run_cells(CELLS, SCALE, FAST, jobs=1)
+        runs = run_cells(CELLS, SCALE, replace(FAST, use_cache=False), jobs=2)
+        for cell in CELLS:
+            assert not any(runs[cell].stage_cached.values()), cell
 
 
 def _inject_lut_packing_fault(monkeypatch):
@@ -204,18 +207,20 @@ def _inject_lut_packing_fault(monkeypatch):
 
 
 class TestFailureIsolation:
+    jobs = 2
+
     def test_stage_failure_fails_only_dependent_cells(
         self, tmp_path, monkeypatch
     ):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         _inject_lut_packing_fault(monkeypatch)
         with pytest.raises(StageFailure) as excinfo:
-            run_cells(CELLS, SCALE, FAST, jobs=2)
+            run_cells(CELLS, SCALE, FAST, jobs=self.jobs)
         failure = excinfo.value
         assert failure.cell == ("alu", "lut")
         assert failure.stage == "packing"
-        # The original worker traceback is surfaced, both as a field and
-        # in the exception text.
+        # The original traceback is surfaced, both as a field and in the
+        # exception text.
         assert "injected packing fault" in failure.traceback_text
         assert "RuntimeError" in failure.traceback_text
         assert "injected packing fault" in str(failure)
@@ -232,26 +237,21 @@ class TestFailureIsolation:
 
     def test_completed_cell_matches_clean_run(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "clean"))
-        clean = run_cells(CELLS[:1], SCALE, FAST, jobs=2)[("alu", "granular")]
+        clean = run_cells(CELLS[:1], SCALE, FAST, jobs=self.jobs)[
+            ("alu", "granular")
+        ]
 
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "faulty"))
         _inject_lut_packing_fault(monkeypatch)
         with pytest.raises(StageFailure) as excinfo:
-            run_cells(CELLS, SCALE, FAST, jobs=2)
+            run_cells(CELLS, SCALE, FAST, jobs=self.jobs)
         survivor = excinfo.value.completed[("alu", "granular")]
         assert survivor.flow_b.die_area == clean.flow_b.die_area
         assert survivor.flow_a.average_slack == clean.flow_a.average_slack
 
-    def test_cell_pool_propagates_worker_error(self, tmp_path, monkeypatch):
-        """The legacy pool's error contract, mirrored for comparison: the
-        worker exception propagates out of run_cells (losing the other
-        cells' results — exactly what StageFailure improves on)."""
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        _inject_lut_packing_fault(monkeypatch)
-        with pytest.raises(RuntimeError, match="injected packing fault"):
-            run_cells(
-                CELLS, SCALE, replace(FAST, schedule="cell"), jobs=2
-            )
+
+class TestFailureIsolationInProcess(TestFailureIsolation):
+    jobs = 1
 
 
 class TestStageModeJournal:
@@ -272,7 +272,7 @@ class TestStageModeJournal:
             if e["ev"] == "span" and e["name"] == "run_cells"
         ]
         assert len(run_cells_spans) == 1
-        assert run_cells_spans[0]["attrs"]["schedule"] == "stage"
+        assert run_cells_spans[0]["attrs"]["jobs"] == 2
         graph_spans = [
             e for e in events
             if e["ev"] == "span" and e["name"] == "sched.graph"
@@ -314,49 +314,73 @@ class TestStageModeJournal:
 
 
 class TestInterruption:
-    """Graceful interruption: the ``cancel`` hook and KeyboardInterrupt
-    both shut the pool down in order and always clean the transport
-    directory (the serve executor's cancellation path rides on this)."""
+    """Graceful interruption: the ``cancel`` hook stops a run before its
+    next stage at every job count, and at ``jobs=2`` both it and
+    KeyboardInterrupt shut the pool down in order and always clean the
+    transport directory (the serve executor's cancellation path rides on
+    this)."""
+
+    jobs = 2
 
     def test_cancel_hook_interrupts_serial_path(self, tmp_path, monkeypatch):
-        from repro.flow.scheduler import SchedulerInterrupted
-
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-        with pytest.raises(SchedulerInterrupted, match="0 task"):
-            run_cells(CELLS, SCALE, FAST, jobs=1, cancel=lambda: True)
+        with pytest.raises(FlowCancelled, match="0 task"):
+            run_cells(CELLS, SCALE, FAST, jobs=self.jobs, cancel=lambda: True)
 
     def test_cancel_after_first_cell_reports_progress(
         self, tmp_path, monkeypatch
     ):
-        from repro.flow.scheduler import SchedulerInterrupted
-
+        """One finished task is reported (one cell, so a second worker
+        has nothing to race the cancellation with)."""
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
         polls = iter([False, True, True, True])
-        with pytest.raises(SchedulerInterrupted) as err:
-            run_cells(CELLS, SCALE, FAST, jobs=1,
+        with pytest.raises(FlowCancelled) as err:
+            run_cells(CELLS[:1], SCALE, FAST, jobs=self.jobs,
                       cancel=lambda: next(polls))
         assert "1 task(s) completed" in str(err.value)
 
     def test_cancel_hook_interrupts_stage_graph(self, tmp_path, monkeypatch):
-        from repro.flow.scheduler import SchedulerInterrupted
-
+        """The exception names the first stage that never ran."""
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-        with pytest.raises(SchedulerInterrupted):
-            run_cells(CELLS, SCALE, FAST, jobs=2, cancel=lambda: True)
+        with pytest.raises(FlowCancelled) as err:
+            run_cells(CELLS, SCALE, FAST, jobs=self.jobs, cancel=lambda: True)
+        assert err.value.next_stage == "synthesis"
+        assert "cancelled before stage 'synthesis'" in str(err.value)
+        assert (err.value.done, err.value.pending) == (
+            0, len(CELLS) * len(STAGES)
+        )
+
+    def test_cancel_stops_one_cell_between_stages(
+        self, tmp_path, monkeypatch
+    ):
+        """A one-cell run (``fpu_full``, a serve ``flow`` job) stops at its
+        next stage boundary, not at the end of the cell."""
+        cache = tmp_path / "cache"
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(cache))
+
+        def synthesized():
+            return any((cache / "synthesis").glob("*.pkl"))
+
+        with pytest.raises(FlowCancelled) as err:
+            run_cells(CELLS[:1], SCALE, FAST, jobs=self.jobs,
+                      cancel=synthesized)
+        assert err.value.cell == CELLS[0]
+        assert err.value.next_stage == "physical"
+        assert err.value.done == 1
+        assert not (cache / "physical").exists()
 
     def test_interrupted_transport_dir_is_cleaned(
         self, tmp_path, monkeypatch
     ):
         import tempfile
 
-        from repro.flow.scheduler import SchedulerInterrupted
-
         transport_root = tmp_path / "transport"
         transport_root.mkdir()
         monkeypatch.setattr(tempfile, "tempdir", str(transport_root))
         options = replace(FAST, use_cache=False)
-        with pytest.raises(SchedulerInterrupted):
-            run_cells(CELLS, SCALE, options, jobs=2, cancel=lambda: True)
+        with pytest.raises(FlowCancelled):
+            run_cells(CELLS, SCALE, options, jobs=self.jobs,
+                      cancel=lambda: True)
         leftovers = list(transport_root.iterdir())
         assert leftovers == [], f"transport dirs leaked: {leftovers}"
 
@@ -375,19 +399,23 @@ class TestInterruption:
 
         options = replace(FAST, use_cache=False)
         with pytest.raises(KeyboardInterrupt):
-            run_cells(CELLS, SCALE, options, jobs=2, cancel=interrupted)
+            run_cells(CELLS, SCALE, options, jobs=self.jobs,
+                      cancel=interrupted)
         assert list(transport_root.iterdir()) == []
 
     def test_partial_results_resume_warm(self, tmp_path, monkeypatch):
         """A cancelled matrix rerun reuses every completed stage."""
-        from repro.flow.scheduler import SchedulerInterrupted
-
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
         polls = iter([False] * 3 + [True] * 200)
-        with pytest.raises(SchedulerInterrupted):
-            run_cells(CELLS, SCALE, FAST, jobs=2, cancel=lambda: next(polls))
+        with pytest.raises(FlowCancelled):
+            run_cells(CELLS, SCALE, FAST, jobs=self.jobs,
+                      cancel=lambda: next(polls))
         runs = run_cells(CELLS, SCALE, FAST, jobs=1)
         hits = sum(
             sum(run.stage_cached.values()) for run in runs.values()
         )
         assert hits >= 2, "interrupted progress must persist in the cache"
+
+
+class TestInterruptionInProcess(TestInterruption):
+    jobs = 1

@@ -115,15 +115,14 @@ class TestRequestKey:
     def test_perf_knobs_do_not_change_key(self):
         base = fast_spec()
         assert derive_request_key(base) == derive_request_key(fast_spec())
-        # jobs/schedule/use_cache/observe are not even submittable —
+        # jobs/use_cache/observe are not even submittable —
         # the stage-key chain is what guarantees they stay excluded.
         cache = StageCache(enabled=False)
         from repro.flow.experiments import build_design
 
         netlist = build_design("alu", SCALE)
         options = base.flow_options()
-        noisy = replace(options, jobs=8, schedule="cell",
-                        use_cache=False, observe=True)
+        noisy = replace(options, jobs=8, use_cache=False, observe=True)
         assert request_key(cache, netlist, options) == \
             request_key(cache, netlist, noisy)
 
@@ -339,11 +338,11 @@ def client(server):
 
 def _blocking_stage(monkeypatch, stage="physical"):
     """Make one stage block until released; returns (started, release)."""
-    from repro.flow import flow as flow_module
+    from repro.flow import scheduler
 
     started = threading.Event()
     release = threading.Event()
-    original = flow_module.compute_stage
+    original = scheduler.compute_stage
 
     def patched(name, options, artifacts, netlist=None):
         if name == stage:
@@ -351,7 +350,7 @@ def _blocking_stage(monkeypatch, stage="physical"):
             assert release.wait(timeout=30), "test never released the stage"
         return original(name, options, artifacts, netlist=netlist)
 
-    monkeypatch.setattr(flow_module, "compute_stage", patched)
+    monkeypatch.setattr(scheduler, "compute_stage", patched)
     return started, release
 
 
