@@ -5,15 +5,12 @@ Two analyzer families share one findings model:
 * **Artifact checks** audit the outputs of each flow stage — netlists,
   realization tables, placements, packings, routing results — without
   re-executing the stage, plus a small-cone formal equivalence oracle.
-* **Self checks** lint the ``repro`` source tree itself:
-  :mod:`repro.check.selflint` for determinism hazards (``DT``),
-  :mod:`repro.check.concurrency` for lock-order inversions, locks held
-  across blocking calls, unguarded shared writes, and condition-variable
-  misuse (``CC``), validated at runtime by the opt-in
-  :mod:`repro.check.lockwatch` sanitizer (``REPRO_LOCKWATCH=1``), and
-  :mod:`repro.check.cachekey` for stage purity (``CK``): ambient inputs
-  in code reachable from a flow stage.  Cache-key coherence needs no
-  analysis — each stage sees only the options slice its key hashes.
+* **Self checks** lint the ``repro`` source tree itself in one pass,
+  :mod:`repro.check.selflint`: determinism hazards (``DT``), blocking
+  calls under a lock and condition-variable misuse (``CC``), and
+  ambient inputs in code reachable from a flow stage (``CK``).
+  Cache-key coherence needs no analysis — each stage sees only the
+  options slice its key hashes.
 
 Entry points: ``repro check`` on the CLI, ``FlowOptions(check=True)``
 inside the flow, or the functions re-exported here.
@@ -32,9 +29,6 @@ from .place_rules import check_placement
 from .route_rules import check_routing
 from .equiv_rules import check_equivalence
 from .selflint import lint_paths, lint_source
-from .concurrency import analyze_paths, analyze_source
-from .lockwatch import findings_from_journal
-from .cachekey import analyze_cache_keys
 from .runner import (
     CHECK_STAGES,
     check_design_run,
@@ -63,10 +57,6 @@ __all__ = [
     "check_equivalence",
     "lint_paths",
     "lint_source",
-    "analyze_paths",
-    "analyze_source",
-    "findings_from_journal",
-    "analyze_cache_keys",
     "CHECK_STAGES",
     "check_design_run",
     "check_stage",

@@ -100,12 +100,6 @@ class Report:
     def warnings(self) -> List[Finding]:
         return [f for f in self.findings if f.severity == Severity.WARNING]
 
-    def by_rule(self) -> Dict[str, List[Finding]]:
-        out: Dict[str, List[Finding]] = {}
-        for finding in self.findings:
-            out.setdefault(finding.rule_id, []).append(finding)
-        return out
-
     def counts(self) -> Dict[str, int]:
         return {
             "error": len(self.errors),

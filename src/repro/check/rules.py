@@ -11,7 +11,8 @@ tool metadata for rules that produced no findings.
 Rule id scheme: a two-letter family prefix plus a 3-digit number —
 ``NL`` netlist structure, ``LB`` library/realization consistency, ``PK``
 packing legality, ``PL`` placement, ``RT`` routing, ``EQ`` equivalence,
-``DT`` codebase determinism, ``CC`` codebase concurrency.  A bare
+``DT`` codebase determinism, ``CC`` codebase concurrency (lock
+discipline), ``CK`` stage purity (cache-key coherence).  A bare
 family prefix is itself a valid ``--rules`` selector and expands to
 every rule in the family.
 """
@@ -81,15 +82,6 @@ class RuleRegistry:
     def all(self) -> List[Rule]:
         return [self._rules[k] for k in sorted(self._rules)]
 
-    def for_stage(self, stage: str) -> List[Rule]:
-        return [r for r in self.all() if r.stage == stage]
-
-    def stages(self) -> List[str]:
-        return sorted({r.stage for r in self._rules.values()})
-
-    def ids(self) -> List[str]:
-        return sorted(self._rules)
-
     def families(self) -> List[str]:
         """Every registered two-letter family prefix, sorted."""
         return sorted({r.family for r in self._rules.values()})
@@ -100,7 +92,7 @@ class RuleRegistry:
     def validate_selection(self, rule_ids: Iterable[str]) -> Set[str]:
         """Resolve a ``--rules`` selection, raising on unknown ids.
 
-        A selector is either a full rule id (``CC001``) or a bare
+        A selector is either a full rule id (``CC002``) or a bare
         two-letter family prefix (``CC``), which expands to every rule
         in that family.
         """

@@ -167,14 +167,6 @@ def check_design_run(
 
 
 def rule_catalog() -> List[Rule]:
-    """Every registered rule, importing all analyzer families first."""
-    # Import for registration side effects: selflint registers the DT
-    # rules, concurrency CC001-CC004, lockwatch CC005, cachekey CK003.
-    from . import (  # noqa: F401
-        cachekey,
-        concurrency,
-        lockwatch,
-        selflint,
-    )
-
+    """Every registered rule (importing ``repro.check`` registers every
+    family; :mod:`repro.check.selflint` holds DT, CC and CK)."""
     return REGISTRY.all()

@@ -12,10 +12,8 @@ Commands
     Static verification: run the flow for the named designs (default:
     all shipped benchmarks) and audit every stage artifact with the
     :mod:`repro.check` rule families; ``--self`` lints the ``repro``
-    source tree itself instead (determinism ``DT``, concurrency ``CC``,
-    cache-key coherence ``CK``), and ``--lockwatch JOURNAL`` reports
-    lock-order inversions observed at runtime by the
-    ``REPRO_LOCKWATCH=1`` sanitizer.
+    source tree itself instead, in one pass (determinism ``DT``, lock
+    discipline ``CC``, cache-key coherence ``CK``).
     ``--json`` / ``--sarif`` emit machine-readable findings; exit
     status reflects ``--fail-on``.
 ``tables``
@@ -144,14 +142,10 @@ def _cmd_check(args: argparse.Namespace, reporter: Reporter) -> int:
 
     from .check import (
         REGISTRY,
-        CheckError,
         Report,
         Severity,
-        analyze_cache_keys,
-        analyze_paths,
         check_design_run,
         filter_findings,
-        findings_from_journal,
         lint_paths,
         rule_catalog,
     )
@@ -166,7 +160,7 @@ def _cmd_check(args: argparse.Namespace, reporter: Reporter) -> int:
             "RT": "routing",
             "EQ": "equivalence",
             "DT": "codebase determinism (--self)",
-            "CC": "codebase concurrency (--self / lockwatch)",
+            "CC": "codebase concurrency (--self)",
             "CK": "cache-key coherence (--self)",
         }
         for family in REGISTRY.families():
@@ -194,28 +188,11 @@ def _cmd_check(args: argparse.Namespace, reporter: Reporter) -> int:
         rule_ids = REGISTRY.validate_selection(raw_ids)
 
     report = Report()
-    if args.lockwatch:
-        reporter.info(f"reading lockwatch journal {args.lockwatch}...")
-        try:
-            observed = findings_from_journal(Path(args.lockwatch))
-        except (CheckError, OSError, ValueError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        report.extend(filter_findings(observed, rule_ids))
     if args.self:
-        families = (
-            {rid[:2] for rid in rule_ids} if rule_ids is not None else None
-        )
-        if families is None or "DT" in families:
-            reporter.info("linting src/repro for determinism hazards...")
-            report.extend(filter_findings(lint_paths(), rule_ids))
-        if families is None or "CC" in families:
-            reporter.info("analyzing src/repro lock discipline...")
-            report.extend(filter_findings(analyze_paths(), rule_ids))
-        if families is None or "CK" in families:
-            reporter.info("auditing stage cache-key coherence...")
-            report.extend(filter_findings(analyze_cache_keys(), rule_ids))
-    if not args.self and not args.lockwatch:
+        reporter.info("linting src/repro in one pass (determinism, lock "
+                      "discipline, cache-key coherence)...")
+        report.extend(filter_findings(lint_paths(), rule_ids))
+    else:
         from .flow.experiments import build_design
         from .flow.flow import run_design
         from .flow.options import FlowOptions
@@ -667,13 +644,9 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar="IDS",
                        help="comma-separated rule ids to report (repeatable)")
     check.add_argument("--self", action="store_true",
-                       help="lint src/repro itself (determinism + "
-                            "concurrency families) instead of auditing "
-                            "flow artifacts")
-    check.add_argument("--lockwatch", metavar="JOURNAL", default=None,
-                       help="report observed lock-order inversions from a "
-                            "lockwatch journal (written by a test run "
-                            "under REPRO_LOCKWATCH=1)")
+                       help="lint src/repro itself (determinism DT, "
+                            "concurrency CC and cache-key coherence CK "
+                            "families) instead of auditing flow artifacts")
     check.add_argument("--list-rules", action="store_true",
                        help="print the rule catalog and exit")
     check.add_argument("--fail-on", choices=["info", "warning", "error"],

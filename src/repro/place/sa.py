@@ -625,9 +625,9 @@ class AnnealingPlacer:
             return {"moves": 0, "evaluated": 0, "accepted": 0,
                     "seconds": 0.0, "moves_per_s": 0.0}
         range_limit = int(max(self.grid.cols, self.grid.rows))
-        start = time.perf_counter()  # check: allow(DT002) microbenchmark timing
+        start = time.perf_counter()  # check: allow(DT002, CK003) microbenchmark timing
         accepted, evaluated = self._sweep(range_limit, n_moves, temperature)
-        seconds = time.perf_counter() - start  # check: allow(DT002) microbenchmark timing
+        seconds = time.perf_counter() - start  # check: allow(DT002, CK003) microbenchmark timing
         return {
             "moves": n_moves,
             "evaluated": evaluated,

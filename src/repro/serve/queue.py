@@ -55,6 +55,7 @@ class JobQueue:
         self.events_dir = self.root / "events"
         self.events_dir.mkdir(parents=True, exist_ok=True)
         self.journal_path = self.root / "queue.jsonl"
+        #: The one lock of ``repro.serve`` (see :attr:`cond`).
         self._cond = threading.Condition()
         self._jobs: Dict[str, Job] = {}
         #: (rank, seq) heap of job ids awaiting a worker.
@@ -63,6 +64,18 @@ class JobQueue:
         self._by_key: Dict[str, str] = {}
         self._seq = 0
         self._replay()
+
+    @property
+    def cond(self) -> threading.Condition:
+        """The queue's Condition, the only lock in ``repro.serve``.
+
+        The executor and the HTTP server guard their own shared state
+        (budget, metrics) with it too, so no second lock exists whose
+        acquisition order could invert.  It is RLock-backed (the
+        ``Condition()`` default): a holder may call back into the queue,
+        as the server's metrics snapshot does with :meth:`depth`.
+        """
+        return self._cond
 
     # -- persistence ---------------------------------------------------
 

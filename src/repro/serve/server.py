@@ -98,32 +98,35 @@ class ServeConfig:
 class _Budget:
     """Counting allocator for the shared subprocess budget."""
 
-    def __init__(self, total: int) -> None:
+    def __init__(self, total: int, cond: threading.Condition) -> None:
         self._free = max(0, total)
-        self._lock = threading.Lock()
+        self.cond = cond
 
     def acquire(self, want: int) -> int:
         """Grant up to ``want`` workers; 0 means run in this thread."""
-        with self._lock:
+        with self.cond:
             granted = min(max(0, want), self._free)
             self._free -= granted
             return granted
 
     def release(self, granted: int) -> None:
-        with self._lock:
+        with self.cond:
             self._free += granted
 
 
 class Executor:
-    """Bounded pool of job-executing threads over a :class:`JobQueue`."""
+    """Bounded pool of job-executing threads over a :class:`JobQueue`.
+
+    Budget and metrics updates hold the queue's Condition
+    (:attr:`JobQueue.cond`), the one lock of the service.
+    """
 
     def __init__(self, queue: JobQueue, config: ServeConfig,
-                 metrics: Metrics, metrics_lock: threading.Lock) -> None:
+                 metrics: Metrics) -> None:
         self.queue = queue
         self.config = config
         self.metrics = metrics
-        self._metrics_lock = metrics_lock
-        self._budget = _Budget(config.flow_jobs)
+        self._budget = _Budget(config.flow_jobs, queue.cond)
         self._stop = threading.Event()
         self._draining = threading.Event()
         self._threads: List[threading.Thread] = []
@@ -160,7 +163,7 @@ class Executor:
         return self._draining.is_set()
 
     def _count(self, name: str, n: int = 1) -> None:
-        with self._metrics_lock:
+        with self.queue.cond:
             self.metrics.counter(name).inc(n)
 
     def _loop(self) -> None:
@@ -225,7 +228,7 @@ class Executor:
             self.queue.emit(job.id, "job.state", id=job.id, state="done",
                             seconds=round(time.monotonic() - started, 6))
             self._count("serve.jobs.done")
-            with self._metrics_lock:
+            with self.queue.cond:
                 self.metrics.histogram("serve.job.seconds").observe(
                     time.monotonic() - started
                 )
@@ -325,7 +328,17 @@ class _Handler(BaseHTTPRequestHandler):
         self._send_json(status, {"error": message}, headers)
 
     def _read_body(self) -> Optional[Dict[str, Any]]:
-        length = int(self.headers.get("Content-Length") or 0)
+        try:
+            length = int(self.headers.get("Content-Length") or 0)
+        except ValueError:
+            length = -1
+        if length < 0:
+            # The body's extent is unknown, so the connection cannot
+            # carry another request.
+            self.close_connection = True
+            self._error(400, "Content-Length must be a non-negative "
+                             "integer")
+            return None
         if length > _MAX_BODY_BYTES:
             self._error(413, "request body too large")
             return None
@@ -363,8 +376,15 @@ class _Handler(BaseHTTPRequestHandler):
                 return
             if match.group(2):  # /events
                 query = parse_qs(parts.query)
-                since = int(query.get("since", ["0"])[0])
-                wait = min(30.0, float(query.get("wait", ["0"])[0]))
+                try:
+                    since = int(query.get("since", ["0"])[0])
+                    wait = min(30.0, float(query.get("wait", ["0"])[0]))
+                except ValueError:
+                    since = -1
+                if since < 0:
+                    self._error(400, "since must be a non-negative integer "
+                                     "offset and wait a number of seconds")
+                    return
                 self._send_json(200, repro.events(job, since, wait))
                 return
             self._send_json(200, job.to_dict())
@@ -439,10 +459,7 @@ class ReproServer:
             config.resolved_queue_dir(), limit=config.queue_limit
         )
         self.metrics = Metrics()
-        self._metrics_lock = threading.Lock()
-        self.executor = Executor(
-            self.queue, config, self.metrics, self._metrics_lock
-        )
+        self.executor = Executor(self.queue, config, self.metrics)
         self._log = log or (lambda message: None)
         self._started_at = time.time()
         self._drained = threading.Event()
@@ -497,7 +514,7 @@ class ReproServer:
     # -- handler support -----------------------------------------------
 
     def count(self, name: str, n: int = 1) -> None:
-        with self._metrics_lock:
+        with self.queue.cond:
             self.metrics.counter(name).inc(n)
 
     def health(self) -> Dict[str, Any]:
@@ -513,7 +530,8 @@ class ReproServer:
         }
 
     def metrics_text(self) -> str:
-        with self._metrics_lock:
+        # depth() and running() re-enter the (RLock-backed) Condition.
+        with self.queue.cond:
             self.metrics.gauge("serve.queue.depth").set(self.queue.depth())
             self.metrics.gauge("serve.jobs.running").set(
                 self.queue.running()

@@ -9,39 +9,6 @@ from repro.core import granular_plb, lut_plb
 from repro.netlist import NetlistBuilder
 
 
-def pytest_configure(config):
-    """Install the lockwatch lock sanitizer when opted in.
-
-    ``REPRO_LOCKWATCH=1`` swaps threading's lock factories for
-    instrumented wrappers for the whole run; the aggregated report
-    (acquisition orders, hold times, observed inversions) is written at
-    session end to ``$REPRO_LOCKWATCH_OUT`` (or the journal directory)
-    and summarized in the terminal report.  CI feeds that journal to
-    ``repro check --lockwatch`` so an observed inversion fails the
-    build through the normal findings machinery.
-    """
-    from repro.check import lockwatch
-
-    if lockwatch.enabled():
-        lockwatch.install()
-
-
-def pytest_terminal_summary(terminalreporter, exitstatus, config):
-    from repro.check import lockwatch
-
-    if not lockwatch.installed():
-        return
-    lockwatch.uninstall()
-    path = lockwatch.write_report()
-    snap = lockwatch.watch().snapshot()
-    terminalreporter.write_sep("-", "lockwatch")
-    terminalreporter.write_line(
-        f"lockwatch: {len(snap['sites'])} lock site(s), "
-        f"{len(snap['edges'])} order edge(s), "
-        f"{len(snap['inversions'])} inversion(s); report: {path}"
-    )
-
-
 @pytest.fixture(scope="session", autouse=True)
 def _isolated_stage_cache(tmp_path_factory):
     """Point the flow stage cache at a per-session temp dir.

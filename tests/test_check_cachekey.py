@@ -1,11 +1,11 @@
-"""Tests for the CK stage-purity family (repro.check.cachekey, CK003).
+"""Tests for the CK stage-purity rule (CK003) of the one-pass self-lint.
 
 A synthetic mini-flow with a seeded ambient input in stage-reachable
-code (environment, wall clock, a mutable registry) that the analyzer
-must flag, plus the clean twin it must not flag, suppression behavior,
-the CLI integration (`--self --rules CK`, grouped --list-rules, SARIF),
-and the guarantees on the shipped flow: it is clean, and the analysis
-still reaches its real stage code.
+code (environment, wall clock, a mutable registry) that the lint must
+flag, plus the clean twin it must not flag, suppression behavior, the
+CLI integration (`--self --rules CK`, grouped --list-rules, SARIF), and
+the guarantees on the shipped flow: it is clean, and the analysis still
+reaches its real stage code.
 """
 
 import json
@@ -13,9 +13,8 @@ import shutil
 
 import pytest
 
-from repro.check import REGISTRY, analyze_cache_keys
-from repro.check.cachekey import analyze_source, stage_reachable_functions
-from repro.check.selflint import default_lint_root
+from repro.check import REGISTRY, lint_paths, lint_source
+from repro.check.selflint import default_lint_root, stage_reachable_functions
 from repro.cli import main
 
 
@@ -45,13 +44,13 @@ def compute_stage(stage, options, artifacts):
 
 class TestFixtureCoherence:
     def test_clean_fixture_has_no_findings(self):
-        assert analyze_source(CLEAN) == []
+        assert lint_source(CLEAN) == []
 
     def test_module_without_anchors_is_silent(self):
-        assert analyze_source("def helper(x):\n    return x\n") == []
+        assert lint_source("def helper(x):\n    return x\n") == []
 
     def test_syntax_error_is_reported_not_raised(self):
-        findings = analyze_source("def broken(:\n")
+        findings = lint_source("def broken(:\n")
         assert len(findings) == 1
         assert "parse" in findings[0].message.lower()
 
@@ -66,7 +65,7 @@ class TestCK003Impurity:
             "    return options.width * fudge",
         )
         findings = [
-            f for f in analyze_source(bad) if f.rule_id == "CK003"
+            f for f in lint_source(bad) if f.rule_id == "CK003"
         ]
         assert findings and "environ" in findings[0].message
 
@@ -77,7 +76,7 @@ class TestCK003Impurity:
             "def _run_alpha(options):\n"
             "    return options.width * int(time.time())",
         )
-        assert "CK003" in rules_of(analyze_source(bad))
+        assert "CK003" in rules_of(lint_source(bad))
 
     def test_mutable_global_registry_flags(self):
         bad = CLEAN.replace(
@@ -89,7 +88,7 @@ class TestCK003Impurity:
             '    return _REGISTRY.get("bias", 0) + options.width',
         )
         findings = [
-            f for f in analyze_source(bad) if f.rule_id == "CK003"
+            f for f in lint_source(bad) if f.rule_id == "CK003"
         ]
         assert findings and "_REGISTRY" in findings[0].message
 
@@ -100,7 +99,7 @@ class TestCK003Impurity:
             "def cli_helper():\n"
             '    return os.environ.get("COLUMNS", "80")\n'
         )
-        assert rules_of(analyze_source(ok)) == []
+        assert rules_of(lint_source(ok)) == []
 
     def test_allow_comment_suppresses(self):
         bad = CLEAN.replace(
@@ -111,12 +110,12 @@ class TestCK003Impurity:
             "  # check: allow(CK003)\n"
             "    return options.width * fudge",
         )
-        assert rules_of(analyze_source(bad)) == []
+        assert rules_of(lint_source(bad)) == []
 
 
 class TestHeadIsCoherent:
     def test_shipped_flow_has_no_ck_findings(self):
-        assert analyze_cache_keys() == []
+        assert [f for f in lint_paths() if f.rule_id == "CK003"] == []
 
 
 class TestReachesStageCode:
@@ -148,7 +147,7 @@ class TestReachesStageCode:
             anchor,
             '    os.environ.get("PACK_FUDGE")\n' + anchor,
         ), encoding="utf-8")
-        findings = analyze_cache_keys([root])
+        findings = lint_paths([root])
         assert [
             (f.rule_id, "_pack_stage" in f.message) for f in findings
         ] == [("CK003", True)]

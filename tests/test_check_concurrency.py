@@ -1,128 +1,29 @@
-"""Tests for the CC concurrency rule family (repro.check.concurrency).
+"""Tests for the CC lock-discipline rules of the one-pass self-lint.
 
-Each ERROR rule gets a corrupted-fixture test: a synthetic module with
-a seeded defect (a known lock-order inversion, a lock held across a
-subprocess launch, a guarded/unguarded attribute pair, a loopless
-condition wait) that the analyzer must flag — plus clean twins it must
-not flag, suppression-comment behavior, and the CLI integration
-(`--self --rules CC`, family selectors, grouped --list-rules).
+Each rule gets a corrupted-fixture test: a synthetic module with a
+seeded defect (a lock held across a subprocess launch or file I/O, a
+loopless condition wait, a notify outside the lock) that the lint must
+flag — plus clean twins it must not flag and suppression-comment
+behavior.  The three defects the rules found in the serve queue are
+re-seeded into the real ``queue.py`` source and must be flagged again;
+so must file I/O in the server's critical section on the shared
+Condition.  ``repro.serve`` constructs exactly one lock, and the CLI
+integration (`--self --rules CC`, family selectors, grouped
+--list-rules) is covered at the end.
 """
 
+import ast
 import json
 
 import pytest
 
-from repro.check import REGISTRY, analyze_paths, analyze_source
+from repro.check import REGISTRY, lint_paths, lint_source
+from repro.check.selflint import default_lint_root
 from repro.cli import main
 
 
 def rules_of(findings):
     return sorted(f.rule_id for f in findings)
-
-
-# ----------------------------------------------------------------------
-# CC001: lock-order inversions
-# ----------------------------------------------------------------------
-
-INVERSION = '''
-import threading
-
-class Service:
-    def __init__(self):
-        self._a = threading.Lock()
-        self._b = threading.Lock()
-
-    def one(self):
-        with self._a:
-            with self._b:
-                pass
-
-    def two(self):
-        with self._b:
-            with self._a:
-                pass
-'''
-
-INVERSION_INTERPROCEDURAL = '''
-import threading
-
-class Service:
-    def __init__(self):
-        self._a = threading.Lock()
-        self._b = threading.Lock()
-
-    def one(self):
-        with self._a:
-            self._helper()
-
-    def _helper(self):
-        with self._b:
-            pass
-
-    def two(self):
-        with self._b:
-            with self._a:
-                pass
-'''
-
-ORDERED = '''
-import threading
-
-class Service:
-    def __init__(self):
-        self._a = threading.Lock()
-        self._b = threading.Lock()
-
-    def one(self):
-        with self._a:
-            with self._b:
-                pass
-
-    def two(self):
-        with self._a:
-            with self._b:
-                pass
-'''
-
-SELF_DEADLOCK = '''
-import threading
-
-class Service:
-    def __init__(self):
-        self._lock = threading.Lock()
-
-    def outer(self):
-        with self._lock:
-            with self._lock:
-                pass
-'''
-
-
-class TestLockOrder:
-    def test_inversion_is_flagged(self):
-        findings = analyze_source(INVERSION, "inv.py")
-        assert "CC001" in rules_of(findings)
-        message = next(f for f in findings if f.rule_id == "CC001").message
-        assert "Service._a" in message and "Service._b" in message
-
-    def test_inversion_through_the_call_graph(self):
-        findings = analyze_source(INVERSION_INTERPROCEDURAL, "inv2.py")
-        assert "CC001" in rules_of(findings)
-
-    def test_consistent_order_is_clean(self):
-        assert analyze_source(ORDERED, "ok.py") == []
-
-    def test_nonreentrant_self_acquire(self):
-        findings = analyze_source(SELF_DEADLOCK, "self.py")
-        assert "CC001" in rules_of(findings)
-        assert "self-deadlock" in findings[0].message
-
-    def test_rlock_self_acquire_is_fine(self):
-        findings = analyze_source(
-            SELF_DEADLOCK.replace("threading.Lock()", "threading.RLock()"),
-            "rlock.py",
-        )
-        assert findings == []
 
 
 # ----------------------------------------------------------------------
@@ -159,12 +60,12 @@ class Writer:
 
 class TestBlockingUnderLock:
     def test_subprocess_under_lock(self):
-        findings = analyze_source(BLOCKING_SUBPROCESS, "sub.py")
+        findings = lint_source(BLOCKING_SUBPROCESS, "sub.py")
         assert rules_of(findings) == ["CC002"]
         assert "subprocess.run" in findings[0].message
 
     def test_file_io_under_lock(self):
-        findings = analyze_source(BLOCKING_OPEN, "io.py")
+        findings = lint_source(BLOCKING_OPEN, "io.py")
         assert "CC002" in rules_of(findings)
 
     def test_blocking_outside_lock_is_clean(self):
@@ -172,7 +73,7 @@ class TestBlockingUnderLock:
             'with self._lock:\n            subprocess.run(["true"])',
             'subprocess.run(["true"])',
         )
-        assert analyze_source(source, "free.py") == []
+        assert lint_source(source, "free.py") == []
 
     def test_interprocedural_held_context(self):
         source = '''
@@ -190,7 +91,7 @@ class Runner:
     def _inner(self):
         subprocess.run(["true"])
 '''
-        findings = analyze_source(source, "ctx.py")
+        findings = lint_source(source, "ctx.py")
         assert "CC002" in rules_of(findings)
 
     def test_allow_comment_suppresses(self):
@@ -198,95 +99,7 @@ class Runner:
             'subprocess.run(["true"])',
             'subprocess.run(["true"])  # check: allow(CC002)',
         )
-        assert analyze_source(source, "ok.py") == []
-
-
-# ----------------------------------------------------------------------
-# CC003: guarded-somewhere must be guarded-everywhere
-# ----------------------------------------------------------------------
-
-MIXED_GUARD = '''
-import threading
-
-class Counter:
-    def __init__(self):
-        self._lock = threading.Lock()
-        self.count = 0
-
-    def bump(self):
-        with self._lock:
-            self.count += 1
-
-    def reset(self):
-        self.count = 0
-'''
-
-TWO_ENTRY_POINTS = '''
-import threading
-
-class Pipeline:
-    def __init__(self):
-        self._lock = threading.Lock()
-        self.items = []
-
-    def start(self):
-        threading.Thread(target=self._produce).start()
-        threading.Thread(target=self._consume).start()
-
-    def _produce(self):
-        self.items.append(1)
-
-    def _consume(self):
-        self.items.pop()
-'''
-
-
-class TestGuardConsistency:
-    def test_mixed_guard_flags_the_unguarded_site(self):
-        findings = analyze_source(MIXED_GUARD, "mix.py")
-        assert rules_of(findings) == ["CC003"]
-        assert "Counter.count" in findings[0].message
-        assert "Counter.reset" in findings[0].message
-
-    def test_construction_writes_are_exempt(self):
-        source = MIXED_GUARD.replace(
-            "    def reset(self):\n        self.count = 0\n", ""
-        )
-        assert analyze_source(source, "ok.py") == []
-
-    def test_init_only_helpers_are_exempt(self):
-        source = '''
-import threading
-
-class Replayed:
-    def __init__(self):
-        self._lock = threading.Lock()
-        self.count = 0
-        self._replay()
-
-    def _replay(self):
-        self.count = 1
-
-    def bump(self):
-        with self._lock:
-            self.count += 1
-'''
-        assert analyze_source(source, "replay.py") == []
-
-    def test_unguarded_writes_from_two_thread_entries(self):
-        findings = analyze_source(TWO_ENTRY_POINTS, "pipe.py")
-        assert set(rules_of(findings)) == {"CC003"}
-        assert len(findings) == 2  # both unguarded sites reported
-
-    def test_consistently_guarded_is_clean(self):
-        source = TWO_ENTRY_POINTS.replace(
-            "        self.items.append(1)",
-            "        with self._lock:\n            self.items.append(1)",
-        ).replace(
-            "        self.items.pop()",
-            "        with self._lock:\n            self.items.pop()",
-        )
-        assert analyze_source(source, "ok.py") == []
+        assert lint_source(source, "ok.py") == []
 
 
 # ----------------------------------------------------------------------
@@ -325,7 +138,7 @@ class Box:
 
 class TestConditionMisuse:
     def test_wait_outside_while_is_flagged(self):
-        findings = analyze_source(WAIT_NOT_IN_LOOP, "wait.py")
+        findings = lint_source(WAIT_NOT_IN_LOOP, "wait.py")
         assert "CC004" in rules_of(findings)
         assert "while" in findings[0].message
 
@@ -333,17 +146,17 @@ class TestConditionMisuse:
         source = WAIT_NOT_IN_LOOP.replace(
             "if not self.ready:", "while not self.ready:"
         )
-        assert analyze_source(source, "ok.py") == []
+        assert lint_source(source, "ok.py") == []
 
     def test_wait_for_is_clean(self):
         source = WAIT_NOT_IN_LOOP.replace(
             "if not self.ready:\n                self._cond.wait()",
             "self._cond.wait_for(lambda: self.ready)",
         )
-        assert analyze_source(source, "ok.py") == []
+        assert lint_source(source, "ok.py") == []
 
     def test_notify_without_lock_is_flagged(self):
-        findings = analyze_source(NOTIFY_WITHOUT_LOCK, "notify.py")
+        findings = lint_source(NOTIFY_WITHOUT_LOCK, "notify.py")
         assert "CC004" in rules_of(findings)
         assert "notified without its lock" in str(
             [f.message for f in findings]
@@ -363,22 +176,117 @@ class Box:
             self.ready = True
             self._cond.notify_all()
 '''
-        assert analyze_source(source, "ok.py") == []
+        assert lint_source(source, "ok.py") == []
 
 
 # ----------------------------------------------------------------------
 # Whole-repo + framework integration
 # ----------------------------------------------------------------------
 
+SERVE = default_lint_root() / "serve"
+
+
+def reseeded(filename, old, new):
+    """``serve/<filename>`` with one defect put back, as source text."""
+    source = (SERVE / filename).read_text(encoding="utf-8")
+    assert source.count(old) == 1, f"anchor moved in {filename}"
+    return source.replace(old, new)
+
+
+def line_of(source, text):
+    return next(
+        n for n, line in enumerate(source.splitlines(), start=1)
+        if text in line
+    )
+
+
+class TestServeQueueDefects:
+    """The three serve-queue defects the CC rules found, re-seeded."""
+
+    def test_shipped_queue_and_server_are_clean(self):
+        for filename in ("queue.py", "server.py"):
+            source = (SERVE / filename).read_text(encoding="utf-8")
+            assert lint_source(source, f"serve/{filename}") == []
+
+    def test_loopless_claim_wait_is_cc004(self):
+        source = reseeded(
+            "queue.py",
+            "            self._cond.wait_for(lambda: bool(self._heap), "
+            "timeout)\n",
+            "            if not self._heap:\n"
+            "                self._cond.wait(timeout)\n",
+        )
+        findings = lint_source(source, "serve/queue.py")
+        assert [(f.rule_id, f.location) for f in findings] == [
+            ("CC004",
+             f"serve/queue.py:{line_of(source, '_cond.wait(timeout)')}"),
+        ]
+
+    def test_emit_writing_under_the_condition_is_cc002(self):
+        source = reseeded(
+            "queue.py",
+            "        with path.open(\"a\", encoding=\"utf-8\") as handle:"
+            "\n",
+            "        with self._cond, path.open(\"a\", encoding=\"utf-8\")"
+            " as handle:\n",
+        )
+        findings = lint_source(source, "serve/queue.py")
+        assert [f.rule_id for f in findings] == ["CC002"]
+        assert "emit" in findings[0].message
+
+    def test_append_without_its_allow_comments_is_cc002_twice(self):
+        source = (SERVE / "queue.py").read_text(encoding="utf-8")
+        allowed = [
+            line_of(source, "self.journal_path.open(\"a\""),
+            line_of(source, "os.fsync("),
+        ]
+        bare = source.replace("  # check: allow(CC002)", "")
+        findings = lint_source(bare, "serve/queue.py")
+        assert [f.rule_id for f in findings] == ["CC002", "CC002"]
+        assert [f.location for f in findings] == [
+            f"serve/queue.py:{line}" for line in allowed
+        ]
+
+    def test_file_write_in_the_servers_metrics_section_is_cc002(self):
+        source = reseeded(
+            "server.py",
+            "            events = self.metrics.snapshot_events(",
+            "            Path(\"metrics.txt\").write_text(\"\")\n"
+            "            events = self.metrics.snapshot_events(",
+        )
+        findings = lint_source(source, "serve/server.py")
+        assert [f.rule_id for f in findings] == ["CC002"]
+        assert "metrics_text" in findings[0].message
+
+
+class TestOneLock:
+    def test_src_repro_constructs_exactly_one_lock(self):
+        kinds = {"Lock", "RLock", "Condition", "Semaphore",
+                 "BoundedSemaphore"}
+        root = default_lint_root()
+        sites = []
+        for path in sorted(root.rglob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            for node in ast.walk(tree):
+                if not isinstance(node, ast.Call):
+                    continue
+                fn = node.func
+                name = getattr(fn, "attr", getattr(fn, "id", None))
+                if name in kinds:
+                    sites.append(f"{path.relative_to(root)}: {name}")
+        # Events are signals, not mutual exclusion, and do not count.
+        assert sites == ["serve/queue.py: Condition"]
+
+
 class TestRepoIsClean:
     def test_repro_package_has_no_cc_findings(self):
-        assert analyze_paths() == []
+        assert [f for f in lint_paths() if f.rule_id.startswith("CC")] == []
 
 
 class TestFamilySelection:
     def test_family_prefix_expands(self):
         selected = REGISTRY.validate_selection({"CC"})
-        assert {"CC001", "CC002", "CC003", "CC004", "CC005"} <= selected
+        assert selected == {"CC002", "CC004"}
 
     def test_mixed_family_and_id(self):
         selected = REGISTRY.validate_selection({"CC", "DT001"})
@@ -415,7 +323,7 @@ class TestCheckCli:
             i for i, line in enumerate(lines) if line.startswith("CC ")
         )
         assert "concurrency" in lines[cc_header]
-        assert lines[cc_header + 1].strip().startswith("CC001")
+        assert lines[cc_header + 1].strip().startswith("CC002")
 
     def test_sarif_carries_cc_rules(self, capsys):
         assert main([
@@ -423,4 +331,4 @@ class TestCheckCli:
         ]) == 0
         doc = json.loads(capsys.readouterr().out)
         driver = doc["runs"][0]["tool"]["driver"]
-        assert any(r["id"] == "CC001" for r in driver["rules"])
+        assert any(r["id"] == "CC002" for r in driver["rules"])

@@ -125,6 +125,23 @@ class TestSelfLintOnRepo:
         findings = lint_paths()
         assert findings == [], "\n".join(f.format() for f in findings)
 
+    def test_each_file_is_parsed_once_for_all_families(self, monkeypatch):
+        import ast
+
+        from repro.check.selflint import default_lint_root
+
+        parsed = []
+        real_parse = ast.parse
+
+        def counting_parse(source, filename="<unknown>", *args, **kw):
+            parsed.append(filename)
+            return real_parse(source, filename, *args, **kw)
+
+        monkeypatch.setattr(ast, "parse", counting_parse)
+        lint_paths()
+        files = sorted(str(p) for p in default_lint_root().rglob("*.py"))
+        assert sorted(parsed) == files
+
 
 class TestObsEmission:
     def test_findings_reach_the_journal(self, tmp_path):

@@ -315,6 +315,54 @@ class TestQueueConcurrency:
         assert "job.stage" in path.read_text()
 
 
+    def test_budget_and_counters_share_the_queue_condition(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.obs.metrics import Counter, Metrics
+        from repro.serve.server import Executor
+
+        def yielding_inc(counter, n=1):
+            value = counter.value
+            time.sleep(0)  # an unguarded caller loses updates here
+            counter.value = value + n
+
+        monkeypatch.setattr(Counter, "inc", yielding_inc)
+        queue = JobQueue(tmp_path, limit=64)
+        executor = Executor(queue, ServeConfig(flow_jobs=3), Metrics())
+        budget = executor._budget
+        assert budget.cond is queue.cond
+        rounds, workers = 300, 8
+
+        def hammer(index):
+            for _ in range(rounds):
+                granted = budget.acquire(2)
+                executor._count("stress.rounds")
+                budget.release(granted)
+            queue.submit(fast_spec(), f"key-stress-{index}")
+            assert queue.claim(timeout=5.0) is not None
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=hammer, args=(i,))
+                for i in range(workers)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(thread.is_alive() for thread in threads)
+        # A lost update would leave the count short or the budget leaked.
+        assert executor.metrics.counter("stress.rounds").value == (
+            rounds * workers
+        )
+        assert budget.acquire(10) == 3
+        assert queue.counts() == {"running": workers}
+
+
 # ----------------------------------------------------------------------
 # End-to-end over HTTP
 # ----------------------------------------------------------------------
@@ -470,6 +518,47 @@ class TestServeEndToEnd:
         job = client.wait(ticket["id"], timeout=60)
         assert job["state"] == "failed"
         assert "timeout after 0.05s" in job["error"]
+
+
+class TestMalformedRequests:
+    """Unparseable numbers in a query or header get a 400 JSON error,
+    never a dropped connection or a negative stream offset."""
+
+    @pytest.fixture()
+    def http_only(self, tmp_path):
+        # No executor threads: a submitted job stays queued.
+        srv = ReproServer(ServeConfig(port=0, queue_dir=tmp_path / "q"))
+        threading.Thread(target=srv.httpd.serve_forever, daemon=True).start()
+        yield srv
+        srv.close()
+
+    @pytest.mark.parametrize("method, target, headers", [
+        ("GET", "/events?since=abc", {}),
+        ("GET", "/events?wait=xyz", {}),
+        ("GET", "/events?since=-5", {}),
+        ("POST", "/v1/jobs", {"Content-Length": "abc"}),
+    ], ids=["since-abc", "wait-xyz", "since-negative", "content-length"])
+    def test_rejected_with_400(self, http_only, method, target, headers):
+        import http.client
+
+        job = http_only.queue.submit(fast_spec(), "key-malformed")
+        if target.startswith("/events"):
+            target = f"/v1/jobs/{job.id}{target}"
+        conn = http.client.HTTPConnection(
+            "127.0.0.1", http_only.port, timeout=10
+        )
+        try:
+            conn.putrequest(method, target)
+            for name, value in headers.items():
+                conn.putheader(name, value)
+            conn.endheaders()
+            response = conn.getresponse()
+            body = json.loads(response.read())
+        finally:
+            conn.close()
+        assert response.status == 400
+        assert response.getheader("Content-Type") == "application/json"
+        assert "must be a non-negative" in body["error"]
 
 
 class TestDrainAndResume:
