@@ -22,9 +22,6 @@ Commands
     Rank candidate PLB architectures with the granularity explorer.
 ``vias``
     Print the via-programmability cost comparison of both PLBs.
-``profile``
-    cProfile one (design, arch) flow cell and print the hottest
-    functions — the quickest way to see where a flow run spends time.
 ``trace [JOURNAL]``
     Render a journal's span tree; ``--chrome`` also writes Chrome
     ``chrome://tracing`` trace-event JSON; ``--gantt`` renders the
@@ -296,34 +293,6 @@ def _cmd_vias(_args: argparse.Namespace, reporter: Reporter) -> int:
     return 0
 
 
-def _cmd_profile(args: argparse.Namespace, reporter: Reporter) -> int:
-    import cProfile
-    import pstats
-
-    from .flow.cache import NullCache, StageCache
-    from .flow.experiments import build_design
-    from .flow.flow import run_design
-    from .flow.options import FlowOptions
-
-    options = FlowOptions(
-        arch=args.arch, seed=args.seed, place_effort=args.effort,
-        use_cache=args.cache,
-    )
-    # Profile the computation, not pickle loads: default to NullCache so
-    # a warm stage cache can't hide the kernels being measured.
-    cache = StageCache() if args.cache else NullCache()
-    netlist = build_design(args.design, scale=args.scale)
-    reporter.info(f"Profiling {args.design} (scale {args.scale}) on the "
-                  f"{args.arch} architecture (cache {'on' if args.cache else 'off'})...")
-    profiler = cProfile.Profile()
-    profiler.enable()
-    run_design(netlist, args.arch, options, cache=cache)
-    profiler.disable()
-    stats = pstats.Stats(profiler, stream=sys.stdout)
-    stats.sort_stats(args.sort).print_stats(args.top)
-    return 0
-
-
 def _cmd_cache(args: argparse.Namespace, reporter: Reporter) -> int:
     from .flow.cache import (
         collect_garbage,
@@ -578,10 +547,20 @@ def _cmd_jobs(args: argparse.Namespace, reporter: Reporter) -> int:
     return 0
 
 
+def _scale_arg(text: str) -> float:
+    """argparse ``type=`` for every ``--scale``: the rule of ``build_design``."""
+    from .flow.experiments import check_scale
+
+    try:
+        return check_scale(float(text))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _add_flow_arguments(flow: argparse.ArgumentParser) -> None:
     flow.add_argument("design", choices=DESIGN_CHOICES)
     flow.add_argument("--arch", choices=["lut", "granular"], default="granular")
-    flow.add_argument("--scale", type=float, default=0.5)
+    flow.add_argument("--scale", type=_scale_arg, default=0.5)
     flow.add_argument("--seed", type=int, default=0)
     flow.add_argument("--effort", type=float, default=0.2,
                       help="placement effort (1.0 = full anneal)")
@@ -629,7 +608,7 @@ def build_parser() -> argparse.ArgumentParser:
                             f"{', '.join(DESIGN_CHOICES)})")
     check.add_argument("--arch", choices=["lut", "granular", "all"],
                        default="all")
-    check.add_argument("--scale", type=float, default=0.5)
+    check.add_argument("--scale", type=_scale_arg, default=0.5)
     check.add_argument("--seed", type=int, default=0)
     check.add_argument("--effort", type=float, default=0.2,
                        help="placement effort (1.0 = full anneal)")
@@ -660,7 +639,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="emit findings as SARIF 2.1.0 on stdout")
 
     tables = sub.add_parser("tables", help="regenerate Tables 1 and 2")
-    tables.add_argument("--scale", type=float, default=0.5)
+    tables.add_argument("--scale", type=_scale_arg, default=0.5)
     tables.add_argument("--jobs", type=int, default=1,
                         help="worker processes for the 8-cell matrix "
                              "(1 = in this process; -1 = all usable CPUs)")
@@ -673,24 +652,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("explore", help="rank candidate PLB architectures")
     sub.add_parser("vias", help="via-programmability cost comparison")
-
-    profile = sub.add_parser(
-        "profile", help="cProfile one (design, arch) flow cell"
-    )
-    profile.add_argument("design", choices=DESIGN_CHOICES)
-    profile.add_argument("--arch", choices=["lut", "granular"], default="granular")
-    profile.add_argument("--scale", type=float, default=0.4)
-    profile.add_argument("--seed", type=int, default=0)
-    profile.add_argument("--effort", type=float, default=0.2,
-                         help="placement effort (1.0 = full anneal)")
-    profile.add_argument("--top", type=int, default=25,
-                         help="number of profile rows to print")
-    profile.add_argument("--sort", default="cumulative",
-                         choices=["cumulative", "tottime", "ncalls"],
-                         help="pstats sort column")
-    profile.add_argument("--cache", action="store_true",
-                         help="profile with the stage cache enabled "
-                              "(default runs every stage cold)")
 
     trace = sub.add_parser(
         "trace", help="render a run journal's span tree / Chrome trace"
@@ -777,7 +738,7 @@ def build_parser() -> argparse.ArgumentParser:
                         default="flow")
     submit.add_argument("--arch", choices=["lut", "granular"],
                         default="granular")
-    submit.add_argument("--scale", type=float, default=0.5)
+    submit.add_argument("--scale", type=_scale_arg, default=0.5)
     submit.add_argument("--seed", type=int, default=0)
     submit.add_argument("--effort", type=float, default=0.2,
                         help="placement effort (1.0 = full anneal)")
@@ -820,7 +781,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "tables": _cmd_tables,
         "explore": _cmd_explore,
         "vias": _cmd_vias,
-        "profile": _cmd_profile,
         "trace": _cmd_trace,
         "stats": _cmd_stats,
         "cache": _cmd_cache,

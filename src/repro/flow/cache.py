@@ -17,6 +17,7 @@ cache can cost time but never correctness.
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 import pickle
 import tempfile
@@ -321,7 +322,9 @@ def parse_size(text: str) -> int:
     try:
         value = float(raw)
     except ValueError:
-        raise ValueError(f"unparsable size {text!r}") from None
+        value = math.nan
+    if not math.isfinite(value * factor):
+        raise ValueError(f"unparsable size {text!r}")
     if value < 0:
         raise ValueError(f"negative size {text!r}")
     return int(value * factor)
@@ -338,7 +341,9 @@ def parse_age(text: str) -> float:
     try:
         value = float(raw)
     except ValueError:
-        raise ValueError(f"unparsable age {text!r}") from None
+        value = math.nan
+    if not math.isfinite(value * factor):
+        raise ValueError(f"unparsable age {text!r}")
     if value < 0:
         raise ValueError(f"negative age {text!r}")
     return value * factor

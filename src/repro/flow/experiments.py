@@ -12,6 +12,7 @@ scaled down for a pure-Python flow).
 
 from __future__ import annotations
 
+import math
 import os
 import warnings
 from dataclasses import dataclass
@@ -50,9 +51,22 @@ def design_scale() -> float:
         return 1.0
 
 
+def check_scale(scale: float) -> float:
+    """Return ``scale`` if it is a finite number > 0, else raise ValueError."""
+    if not (math.isfinite(scale) and scale > 0):
+        raise ValueError(
+            f"design scale must be a finite number > 0, got {scale!r}"
+        )
+    return scale
+
+
 def build_design(name: str, scale: Optional[float] = None) -> Netlist:
-    """Instantiate one benchmark design at the requested scale."""
-    s = design_scale() if scale is None else scale
+    """Instantiate one benchmark design at the requested scale.
+
+    Raises ValueError for a non-finite or non-positive scale (whether
+    passed in or read from ``REPRO_SCALE``).
+    """
+    s = check_scale(design_scale() if scale is None else scale)
     if name == "alu":
         return build_alu(width=max(4, round(16 * s)))
     if name == "firewire":

@@ -23,6 +23,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..core.plb import PLBArchitecture
 from ..netlist.core import Instance, Netlist
+from ..obs import core as _obs
 from ..place.sa import Placement
 from .resources import PackingError, SlotPool, region_fits
 
@@ -217,6 +218,7 @@ def pack(
         _balance_children(children, instances, scaled, arch, crit_of, tile)
         queue.extend(children)
 
+    _obs.counter("pack.spills", moved)
     return PackingResult(
         arch=arch,
         cols=cols,

@@ -172,6 +172,8 @@ class AnnealingPlacer:
         # moves) for observability and benchmarks.
         self.final_cost: Optional[float] = None
         self.stats: Dict[str, float] = {}
+        # Full pin rescans of a net (shared-net swaps), for sa.net_scans.
+        self._net_scans = 0
 
     # ------------------------------------------------------------------
     def _initial_sites(self) -> Dict[str, Site]:
@@ -368,6 +370,7 @@ class AnnealingPlacer:
         }
         _span.set(final_cost=total, temperatures=n_temperatures)
         _obs.counter("sa.placements")
+        _obs.counter("sa.net_scans", self._net_scans)
         return Placement(grid=self.grid, sites=self._final_sites(), pads=self.pads)
 
     # ------------------------------------------------------------------
@@ -579,8 +582,9 @@ class AnnealingPlacer:
         the two share a net.
 
         Each shared net's candidate cost is rescanned from its points with
-        both instances relocated; the delta is then re-summed in
-        first-touch order over the candidate costs the sweep staged.
+        both instances relocated (counted in ``_net_scans``); the delta is
+        then re-summed in first-touch order over the candidate costs the
+        sweep staged.
         """
         xs, ys, cost, pend = self._xs, self._ys, self._cost, self._pend
         partner = {k: n for k, n, _nn in self._contrib[o]}
@@ -588,6 +592,7 @@ class AnnealingPlacer:
         for k, n, _nn in self._contrib[i]:
             m = partner.pop(k, 0)
             if m:
+                self._net_scans += 1
                 X = list(xs[k])
                 Y = list(ys[k])
                 for _ in range(n):
@@ -607,31 +612,3 @@ class AnnealingPlacer:
         for k in partner:
             delta += pend[k] - cost[k]
         return delta
-
-    # ------------------------------------------------------------------
-    def benchmark_kernel(
-        self, n_moves: int, temperature: float = 1.0
-    ) -> Dict[str, float]:
-        """Time the raw move kernel: ``n_moves`` proposals at one temperature.
-
-        A microbenchmark entry point (no schedule, no per-temperature
-        re-sums): builds the initial placement, then runs a single
-        fixed-temperature sweep.  Returns moves proposed/evaluated/
-        accepted, wall seconds, and moves per second.  Placement state is
-        left behind for inspection but no :class:`Placement` is produced.
-        """
-        self._start(self._initial_sites())
-        if not self._movable:
-            return {"moves": 0, "evaluated": 0, "accepted": 0,
-                    "seconds": 0.0, "moves_per_s": 0.0}
-        range_limit = int(max(self.grid.cols, self.grid.rows))
-        start = time.perf_counter()  # check: allow(DT002, CK003) microbenchmark timing
-        accepted, evaluated = self._sweep(range_limit, n_moves, temperature)
-        seconds = time.perf_counter() - start  # check: allow(DT002, CK003) microbenchmark timing
-        return {
-            "moves": n_moves,
-            "evaluated": evaluated,
-            "accepted": accepted,
-            "seconds": seconds,
-            "moves_per_s": n_moves / seconds if seconds > 0 else 0.0,
-        }

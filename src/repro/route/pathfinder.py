@@ -167,6 +167,7 @@ class PathFinderRouter:
                     current = parent[current]  # type: ignore[assignment]
                     path.append(current)
                 path.reverse()
+                _obs.counter("route.heap_pushes", counter)
                 return path
             g = best[current]
             for neighbor in neighbors(current):

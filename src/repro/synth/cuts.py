@@ -17,6 +17,7 @@ from __future__ import annotations
 from typing import Dict, List, Sequence, Tuple
 
 from ..logic.truthtable import TruthTable
+from ..obs import core as _obs
 from .aig import AIG, lit_inverted, lit_node
 
 Cut = Tuple[int, ...]  # sorted leaf node ids
@@ -86,6 +87,8 @@ def enumerate_cuts(
                     merged.append(candidate)
         merged.append((node,))
         cuts[node] = _prune(merged, cap)
+    if _obs.active():
+        _obs.counter("synth.cuts", sum(map(len, cuts.values())))
     return cuts
 
 

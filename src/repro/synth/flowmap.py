@@ -46,6 +46,8 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Hashable, List, Mapping, Optional, Sequence, Set, Tuple
 
+from ..obs import core as _obs
+
 Node = Hashable
 
 #: Default cone-size cap before frontier truncation kicks in.
@@ -143,6 +145,7 @@ class FlowMap:
         self._through = [0] * n
         self._inflow = [0] * n
         self._visit = 0
+        self._cone_nodes = 0
         self._seen = [0] * (2 * n)
         self._parent = [0] * (2 * n)
 
@@ -161,6 +164,8 @@ class FlowMap:
                 self._label[v] = l_max + 1
                 self.cuts[node] = frozenset(self.fanins[node])
             self.labels[node] = self._label[v]
+        _obs.counter("synth.flowmap.cone_nodes", self._cone_nodes)
+        _obs.counter("synth.flowmap.searches", self._visit)
         return FlowMapResult(labels=dict(self.labels), cuts=dict(self.cuts))
 
     # ------------------------------------------------------------------
@@ -185,6 +190,7 @@ class FlowMap:
             if len(cone) >= cap:
                 break
             stack.extend(fanin_ids[v])
+        self._cone_nodes += len(cone)
         return cone
 
     def _min_height_cut(self, target: int, l_max: int) -> Optional[List[int]]:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from typing import Dict, List
 
+from ..obs import core as _obs
 from .aig import AIG, lit_inverted, lit_node
 from .cuts import cut_function, enumerate_cuts
 
@@ -84,6 +85,7 @@ def balance(aig: AIG) -> AIG:
 
     for name, literal in aig.outputs:
         fresh.add_output(name, rebuild(literal))
+    _obs.counter("synth.balance.levelled", len(level.levels))
     return fresh
 
 

@@ -120,6 +120,38 @@ class TestExperimentHelpers:
         monkeypatch.setenv("REPRO_SCALE", "not-a-number")
         assert design_scale() == 1.0
 
+    @pytest.mark.parametrize(
+        "scale", [0.0, -1.0, float("nan"), float("inf"), float("-inf")]
+    )
+    def test_build_design_rejects_bad_scale(self, scale, monkeypatch):
+        from repro.flow.experiments import build_design
+
+        with pytest.raises(ValueError, match="finite number > 0"):
+            build_design("alu", scale)
+        monkeypatch.setenv("REPRO_SCALE", repr(scale))
+        with pytest.raises(ValueError, match="finite number > 0"):
+            build_design("alu")
+
+    @pytest.mark.parametrize("argv", [
+        ["flow", "alu", "--scale", "0"],
+        ["run", "alu", "--scale", "-1"],
+        ["flow", "alu", "--scale", "nan"],
+        ["check", "alu", "--scale", "inf"],
+        ["tables", "--scale", "-0.5"],
+        ["submit", "alu", "--scale", "nan"],
+    ])
+    def test_cli_scale_is_a_usage_error(self, argv, tmp_path, monkeypatch,
+                                         capsys):
+        from repro.cli import main
+
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        with pytest.raises(SystemExit) as exc:
+            main(["-q"] + argv)
+        assert exc.value.code == 2
+        assert "--scale: design scale must be a finite number > 0" in (
+            capsys.readouterr().err
+        )
+
     def test_matrix_memoization(self, monkeypatch):
         import repro.flow.experiments as exp
 

@@ -39,8 +39,9 @@ class TestParsers:
         assert parse_size(" 3k ") == 3 * 1024
 
     def test_parse_size_rejects_junk(self):
-        with pytest.raises(ValueError, match="unparsable size"):
-            parse_size("lots")
+        for junk in ("lots", "inf", "1e400", "nan", "-inf", "1e308T"):
+            with pytest.raises(ValueError, match="unparsable size"):
+                parse_size(junk)
         with pytest.raises(ValueError, match="negative size"):
             parse_size("-5M")
 
@@ -53,8 +54,9 @@ class TestParsers:
         assert parse_age("2w") == 2 * 604800.0
 
     def test_parse_age_rejects_junk(self):
-        with pytest.raises(ValueError, match="unparsable age"):
-            parse_age("soon")
+        for junk in ("soon", "nan", "inf", "1e400", "nanw", "1e308w"):
+            with pytest.raises(ValueError, match="unparsable age"):
+                parse_age(junk)
         with pytest.raises(ValueError, match="negative age"):
             parse_age("-1d")
 
@@ -275,6 +277,24 @@ class TestCacheCli:
         assert main(["cache", "--dir", str(tmp_path), "gc",
                      "--max-size", "plenty"]) == 2
         assert "unparsable size" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value, what", [
+        ("--max-size", "inf", "size"),
+        ("--max-size", "1e400", "size"),
+        ("--max-size", "nan", "size"),
+        ("--max-age", "nan", "age"),
+        ("--max-age", "inf", "age"),
+    ])
+    def test_gc_non_finite_budget_is_an_error(
+        self, tmp_path, capsys, flag, value, what
+    ):
+        from repro.cli import main
+
+        self._populate(tmp_path)
+        assert main(["cache", "--dir", str(tmp_path), "gc",
+                     flag, value]) == 2
+        assert f"unparsable {what}" in capsys.readouterr().err
+        assert usage_summary(tmp_path)["entries"] == 2
 
 
 class TestConcurrentAccess:

@@ -18,6 +18,7 @@ Three contracts:
   their ``InProcess`` subclasses rerun every test at ``jobs=1``.
 """
 
+import os
 from dataclasses import replace
 
 import pytest
@@ -33,6 +34,7 @@ from repro.flow.scheduler import (
 )
 
 from test_parallel_cache import _table_text
+from test_work_counts import work_counts
 
 FAST = FlowOptions(
     place_effort=0.05, place_iterations=1, pack_iterations=1, seed=11
@@ -289,6 +291,9 @@ class TestStageModeJournal:
             and (e.get("attrs") or {}).get("sched") == "stage"
         ]
         assert len(task_spans) == len(CELLS) * len(STAGES)
+        # ...on the pool: span ids embed the recording pid.
+        span_pids = {int(e["sid"].split(":")[0]) for e in task_spans}
+        assert span_pids - {os.getpid()}, "no stage ran on a worker"
 
         # Scheduler dispatch/completion points for every task.
         points = [e for e in events if e["ev"] == "point"]
@@ -306,6 +311,15 @@ class TestStageModeJournal:
         gantt = export.format_gantt(events)
         assert f"{len(CELLS) * len(STAGES)} stage tasks" in gantt
         assert "alu/granular:physical" in gantt
+
+        # Worker counters merge into the same work as one process does.
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache-1"))
+        monkeypatch.setenv("REPRO_JOURNAL_DIR", str(tmp_path / "journals-1"))
+        run_cells(CELLS, SCALE, replace(FAST, observe=True), jobs=1)
+        (inline,) = (tmp_path / "journals-1").glob("*.jsonl")
+        pooled = work_counts(events)
+        assert pooled["sa.evaluated"] > 0 and pooled["synth.cuts"] > 0
+        assert pooled == work_counts(journal.read_journal(inline))
 
     def test_gantt_on_sched_free_journal_hints(self):
         from repro.obs import export
