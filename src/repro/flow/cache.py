@@ -115,24 +115,17 @@ class StageCache:
     """Content-addressed store of pickled stage results.
 
     File format: ``<hex sha256 of payload>\\n<payload>``.  Writes go
-    through a temp file + atomic rename so concurrent workers never see
-    partial entries (a torn read would be caught by the digest anyway).
+    through a temp file + atomic rename so another process sharing the
+    directory (a concurrent run, ``repro cache gc``) never sees a partial
+    entry (a torn read would be caught by the digest anyway).  Within one
+    flow run only the process that runs the stage DAG reads and writes
+    it: pool workers receive their inputs and return their artifacts in
+    memory (see :mod:`repro.flow.scheduler`).
     """
 
-    def __init__(
-        self,
-        root: Optional[Path] = None,
-        enabled: bool = True,
-        respect_env: bool = True,
-    ):
-        """``respect_env=False`` ignores ``REPRO_NO_CACHE`` — used by the
-        stage DAG's private *transport* cache for pool runs, which is an
-        IPC rendezvous in a throwaway directory, not a persistent cache,
-        and must work even when persistent caching is globally off."""
+    def __init__(self, root: Optional[Path] = None, enabled: bool = True):
         self.root = Path(root) if root is not None else default_cache_dir()
-        self.enabled = enabled and not (
-            respect_env and cache_globally_disabled()
-        )
+        self.enabled = enabled and not cache_globally_disabled()
         self.stats = CacheStats()
 
     # ------------------------------------------------------------------
@@ -141,16 +134,6 @@ class StageCache:
 
     def _path(self, stage: str, key: str) -> Path:
         return self.root / stage / f"{key}.pkl"
-
-    def has(self, stage: str, key: str) -> bool:
-        """Whether an entry for (stage, key) exists on disk.
-
-        Existence only — a corrupt entry still reports True and is
-        caught (and discarded) by the digest check on :meth:`get`.  Used
-        by the stage DAG's pool to collapse already-cached nodes without
-        deserializing their payloads.
-        """
-        return self.enabled and self._path(stage, key).is_file()
 
     def get(self, stage: str, key: str) -> Optional[Any]:
         """The cached result, or ``None`` on miss/corruption."""

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 import os
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Dict, Optional, Tuple
 
 from ..core.s3 import category_counts, modified_s3_implementable, s3_feasible_set
@@ -23,7 +23,7 @@ from ..designs import build_alu, build_firewire, build_fpu, build_netswitch
 from ..netlist.core import Netlist
 from .cache import CacheStats
 from .flow import DesignRun
-from .options import FlowOptions
+from .options import PERF_KNOBS, FlowOptions
 from .parallel import run_cells
 
 ARCHES = ("granular", "lut")
@@ -117,7 +117,7 @@ class Matrix:
         return "\n".join(lines)
 
 
-_matrix_cache: Dict[Tuple[float, int, float, Tuple[str, ...]], Matrix] = {}
+_matrix_cache: Dict[Tuple, Matrix] = {}
 
 
 def run_matrix(
@@ -129,13 +129,17 @@ def run_matrix(
     """Run (and memoize) the evaluation matrix.
 
     ``jobs`` fans the independent (design, arch) cells out over worker
-    processes (default: ``options.jobs``; 1 = serial).  The worker count
-    never changes results — the in-process memoization key deliberately
-    excludes it.
+    processes (default: ``options.jobs``; 1 = serial).  The in-process
+    memo is keyed on the scale, the designs and every options field that
+    can change a result, so it leaves out exactly the
+    :data:`~repro.flow.options.PERF_KNOBS`, the worker count among them.
     """
     options = options or default_options()
     s = design_scale() if scale is None else scale
-    key = (s, options.seed, options.place_effort, designs)
+    key = (s, designs) + tuple(
+        getattr(options, f.name) for f in fields(options)
+        if f.name not in PERF_KNOBS
+    )
     if key in _matrix_cache:
         return _matrix_cache[key]
     cells = [(design, arch) for design in designs for arch in ARCHES]

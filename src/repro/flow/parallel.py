@@ -53,8 +53,8 @@ def run_cells(
     worker completion order, so downstream table formatting is identical
     for any job count.  A failing stage raises
     :class:`~repro.flow.scheduler.StageFailure` carrying every unaffected
-    cell's result.  ``cancel`` is polled before every stage task (jobs=1)
-    or dispatch (jobs>1); once it returns True the run raises
+    cell's result.  ``cancel`` is polled before every stage task; once it
+    returns True the run raises
     :class:`~repro.flow.scheduler.FlowCancelled`.  Completed stages are
     already in the stage cache, so a rerun of the same matrix resumes
     warm.

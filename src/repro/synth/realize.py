@@ -535,10 +535,10 @@ def table_for_cells(
     Tables are deterministic functions of the cell set and the component
     cells' definitions, so beyond the in-process ``lru_cache`` they are
     *persisted* through the content-addressed stage cache
-    (:mod:`repro.flow.cache`): a warm run — or a fresh stage-DAG pool
-    worker — unpickles the finished table instead
-    of re-deriving its ~27k structure enumerations.  Keyed on the library
-    fingerprint plus :data:`TABLE_BUILDER_VERSION`; honors
+    (:mod:`repro.flow.cache`): a warm run unpickles the finished table
+    instead of re-deriving its ~27k structure enumerations, and the
+    stage DAG's forked pool workers inherit the parent's.  Keyed on the
+    library fingerprint plus :data:`TABLE_BUILDER_VERSION`; honors
     ``REPRO_NO_CACHE`` / ``REPRO_CACHE_DIR`` like every other stage.
     """
     # Deferred import: repro.flow's package init pulls in the synthesis

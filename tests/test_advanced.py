@@ -171,6 +171,44 @@ class TestExperimentHelpers:
         assert len(calls) == n_calls
         exp._matrix_cache.clear()
 
+    def test_matrix_memo_keys_every_result_field(self, monkeypatch):
+        """A result-changing option runs a new matrix; a perf knob does
+        not."""
+        from dataclasses import fields, replace
+
+        import repro.flow.experiments as exp
+        from repro.flow.options import PERF_KNOBS
+
+        calls = []
+        monkeypatch.setattr(
+            exp, "run_cells",
+            lambda cells, scale, options, jobs: calls.append(options) or
+            dict.fromkeys(cells),
+        )
+        exp._matrix_cache.clear()
+        base = exp.default_options()
+        m1 = exp.run_matrix(base, designs=("alu",), scale=0.2)
+        knobs = {"jobs": 2, "use_cache": False, "observe": True,
+                 "check": True}
+        assert set(knobs) == PERF_KNOBS
+        assert exp.run_matrix(
+            replace(base, **knobs), designs=("alu",), scale=0.2
+        ) is m1
+        # ``arch`` is left out: every cell runs with its own.
+        changed = [
+            f.name for f in fields(base)
+            if f.name not in PERF_KNOBS and f.name != "arch"
+        ]
+        for name in changed:
+            value = getattr(base, name)
+            other = (not value) if isinstance(value, bool) else value + 1
+            matrix = exp.run_matrix(
+                replace(base, **{name: other}), designs=("alu",), scale=0.2
+            )
+            assert matrix is not m1, name
+        assert len(calls) == 1 + len(changed)
+        exp._matrix_cache.clear()
+
     def test_table_formats_are_strings(self):
         from repro.flow.experiments import run_figure2
 
