@@ -33,18 +33,33 @@ traffic, like the results, does not depend on the job count, and
 Results are bit-identical at any job count: stages are pure functions of
 (inputs, options slice, seed), and assembly walks cells in input order.
 
+Every artifact the loop deserializes (a cache hit, or a pool task's
+result) is loaded with the cyclic garbage collector paused and then
+moved into its permanent generation with :func:`gc.freeze`.  Artifacts
+live until the run ends and hold no garbage cycles, so the collector
+could only waste time rescanning them; on a warm matrix its full
+collections would cost about as much as the loads themselves.  The run
+unfreezes them when it ends, however it ends.  Outside those load
+windows the collector runs as usual, so the garbage that computing a
+stage makes is still collected; cycles that already exist at a load stay
+uncollected until the run ends.  While tracing, the run counts the
+collections the collector made in this process, per generation, as
+``gc.collections.gen0`` / ``gen1`` / ``gen2``.
+
 The failure and cancellation contract is the same at every job count.
-A stage that raises fails only the cells that transitively depend on it;
-unaffected cells complete, and the run ends with :class:`StageFailure`
-carrying the original traceback and every completed cell's result.  The
-``cancel`` hook is polled before every task leaves the ready heap; once
-it returns True the run starts nothing new, stores what the in-flight
-pool tasks return, and raises :class:`FlowCancelled`.  Finished stages
-are then in the stage cache, so a rerun resumes warm.
+A stage that raises, or whose artifact cannot be pickled, fails only the
+cells that transitively depend on it; unaffected cells complete, and the
+run ends with :class:`StageFailure` carrying the original traceback and
+every completed cell's result.  The ``cancel`` hook is polled before
+every task leaves the ready heap; once it returns True the run starts
+nothing new, stores what the in-flight pool tasks return, and raises
+:class:`FlowCancelled`.  Finished stages are then in the stage cache, so
+a rerun resumes warm.
 """
 
 from __future__ import annotations
 
+import gc
 import heapq
 import io
 import pickle
@@ -253,6 +268,26 @@ def _run_stage(
     return artifact, elapsed, exc
 
 
+def _load(read: Callable[..., object], *args) -> object:
+    """``read(*args)`` with the cyclic collector paused; what it loads is
+    then frozen (see the module docstring).
+
+    A miss (``None``) freezes nothing, so the garbage of stages this
+    process computed stays collectable.  The collector's enabled state
+    is restored, so a caller that disabled it keeps it disabled.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        loaded = read(*args)
+        if loaded is not None:
+            gc.freeze()
+        return loaded
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def _format(exc: Exception) -> str:
     return "".join(
         traceback.format_exception(type(exc), exc, exc.__traceback__)
@@ -326,12 +361,15 @@ def _pool_task(
     received = unpickler.memo.copy() if linked else {}
     artifact, elapsed, exc = _run_stage(stage, cell, options, upstream, netlist)
     blob = None
-    if artifact is not None and linked:
-        out = io.BytesIO()
-        _ArtifactPickler(out, received).dump(artifact)
-        blob = out.getvalue()
-    elif artifact is not None:
-        blob = pickle.dumps(artifact, pickle.HIGHEST_PROTOCOL)
+    try:
+        if artifact is not None and linked:
+            out = io.BytesIO()
+            _ArtifactPickler(out, received).dump(artifact)
+            blob = out.getvalue()
+        elif artifact is not None:
+            blob = pickle.dumps(artifact, pickle.HIGHEST_PROTOCOL)
+    except Exception as err:  # an artifact that cannot be pickled
+        blob, exc = None, exc or err
     events = _obs.drain() if own_trace else None
     return blob, elapsed, events, None if exc is None else _format(exc)
 
@@ -376,7 +414,9 @@ def run_stage_graph(
     (after every unaffected cell has completed) and
     :class:`FlowCancelled` once ``cancel`` returns True.  A
     ``KeyboardInterrupt`` stores what the in-flight pool tasks return,
-    shuts the pool down in order and is re-raised.
+    shuts the pool down in order and is re-raised.  Artifacts loaded
+    during the run are frozen out of the cyclic collector until it
+    returns or raises (see the module docstring).
 
     ``cache`` overrides the stage cache chosen from ``options.use_cache``.
     Two hooks serve :func:`~repro.flow.flow.run_design`: ``netlists``
@@ -386,6 +426,7 @@ def run_stage_graph(
     """
     from .experiments import build_design
 
+    collections = [gen["collections"] for gen in gc.get_stats()]
     cells = list(dict.fromkeys(cells))
     if cache is None:
         cache = StageCache() if options.use_cache else NullCache()
@@ -408,10 +449,18 @@ def run_stage_graph(
     with _obs.span(
         "sched.graph", cells=len(cells), tasks=len(tasks), jobs=jobs,
     ) as graph:
-        artifacts = _dispatch(
-            tasks, cell_tasks, designs, cell_options, cache, jobs, cancel,
-            progress,
-        )
+        try:
+            artifacts = _dispatch(
+                tasks, cell_tasks, designs, cell_options, cache, jobs,
+                cancel, progress,
+            )
+        finally:
+            gc.unfreeze()
+            for gen, stats in enumerate(gc.get_stats()):
+                _obs.counter(
+                    f"gc.collections.gen{gen}",
+                    stats["collections"] - collections[gen],
+                )
         graph.set(precached=sum(task.hit for task in tasks))
         # Merge worker trace fragments in task order — deterministic for
         # any worker count or completion order.
@@ -512,7 +561,11 @@ def _dispatch(
         its dependents."""
         task.elapsed = elapsed
         if artifact is not None and not task.hit:
-            charge(task, cache.put, artifact)
+            try:
+                charge(task, cache.put, artifact)
+            except Exception as err:  # an artifact that cannot be pickled
+                if exc is None and error is None:
+                    exc = err
         if exc is not None:
             error = _format(exc)
         if error is not None:
@@ -534,7 +587,7 @@ def _dispatch(
         nonlocal pool
         task.state = "running"
         clock = time.perf_counter()  # check: allow(DT002) stage timing report only
-        cached = charge(task, cache.get)
+        cached = _load(charge, task, cache.get)
         read = time.perf_counter() - clock  # check: allow(DT002) stage timing report only
         task.hit = cached is not None
         design = task.cell[0]
@@ -578,9 +631,9 @@ def _dispatch(
         artifact = None
         if blob is not None and pickler is not None:
             shipped = dict(pickler.memo.copy().values())  # index -> object
-            artifact = _ArtifactUnpickler(blob, shipped).load()
+            artifact = _load(_ArtifactUnpickler(blob, shipped).load)
         elif blob is not None:
-            artifact = pickle.loads(blob)
+            artifact = _load(pickle.loads, blob)
         _obs.point(
             "sched.task", task=task.tid, stage=task.stage,
             design=task.cell[0], arch=task.cell[1], cached=False,

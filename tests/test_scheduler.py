@@ -1,7 +1,7 @@
 """Tests for the stage DAG (``repro.flow.scheduler``), the one code path
 that runs flow stages.
 
-Four contracts:
+Five contracts:
 
 * **Structure** — the task DAG mirrors ``STAGE_INPUTS`` exactly, dedups
   nodes on (stage, key), and orders ready tasks critical-path-first.
@@ -14,14 +14,19 @@ Four contracts:
   the same at every job count, and evicting entries mid-run cannot
   change a pool run.
 * **Failure isolation and cancellation, at every job count** — a raising
-  stage task fails only the cells that transitively depend on it,
-  surfaces the original traceback, and leaves every other cell's
-  finished result intact; ``cancel`` stops a run before its next stage.
-  ``TestFailureIsolation`` and ``TestInterruption`` run at ``jobs=2``;
-  their ``InProcess`` subclasses rerun every test at ``jobs=1``.
+  stage task, or one whose artifact cannot be pickled, fails only the
+  cells that transitively depend on it, surfaces the original traceback,
+  and leaves every other cell's finished result intact; ``cancel`` stops
+  a run before its next stage.  ``TestFailureIsolation`` and
+  ``TestInterruption`` run at ``jobs=2``; their ``InProcess`` subclasses
+  rerun every test at ``jobs=1``.
+* **Collector scope** — loaded artifacts are frozen out of the cyclic
+  collector while their run lasts and never after it, however it ends.
 """
 
+import gc
 import os
+import shutil
 from dataclasses import replace
 
 import pytest
@@ -36,6 +41,7 @@ from repro.flow.scheduler import (
     FlowCancelled,
     StageFailure,
     build_task_graph,
+    run_stage_graph,
 )
 from repro.pack.quadrisection import SlotAssignment
 
@@ -308,6 +314,23 @@ def _inject_lut_packing_fault(monkeypatch):
     monkeypatch.setattr(flow_mod, "_pack_stage", boom)
 
 
+def _inject_unpicklable_route_a(monkeypatch):
+    """Give the granular cell's route_a routing an attribute that pickle
+    rejects; forked pool workers inherit the patch."""
+    from repro.flow import scheduler
+
+    real = scheduler.compute_stage
+
+    def unpicklable(stage, options, artifacts, netlist=None):
+        artifact = real(stage, options, artifacts, netlist=netlist)
+        if stage == "route_a":
+            if artifacts["synthesis"].arch.name == "granular":
+                artifact.routing.probe = lambda: None
+        return artifact
+
+    monkeypatch.setattr(scheduler, "compute_stage", unpicklable)
+
+
 class TestFailureIsolation:
     jobs = 2
 
@@ -350,6 +373,20 @@ class TestFailureIsolation:
         survivor = excinfo.value.completed[("alu", "granular")]
         assert survivor.flow_b.die_area == clean.flow_b.die_area
         assert survivor.flow_a.average_slack == clean.flow_a.average_slack
+
+    def test_unpicklable_artifact_fails_its_task(self, tmp_path, monkeypatch):
+        """Pickling an artifact, for the pool's return trip or for the
+        cache, fails that task like a raising stage would."""
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        _inject_unpicklable_route_a(monkeypatch)
+        with pytest.raises(StageFailure) as excinfo:
+            run_cells(CELLS, SCALE, FAST, jobs=self.jobs)
+        failure = excinfo.value
+        assert failure.cell == ("alu", "granular")
+        assert failure.failed == [(("alu", "granular"), "route_a")]
+        assert "pickle" in failure.traceback_text
+        assert set(failure.completed) == {("alu", "lut")}
+        assert failure.completed[("alu", "lut")].flow_b.die_area > 0
 
 
 class TestFailureIsolationInProcess(TestFailureIsolation):
@@ -406,6 +443,11 @@ class TestStageModeJournal:
             if e["name"] == "sched.task"
         }
         assert outcomes == {"ok"}
+
+        # The parent counts its own collections per generation.
+        counters = export.merge_counters(events)
+        for gen in range(3):
+            assert f"gc.collections.gen{gen}" in counters, gen
 
         # The journal renders as a Gantt with one bar per task.
         gantt = export.format_gantt(events)
@@ -533,3 +575,82 @@ class TestInterruption:
 
 class TestInterruptionInProcess(TestInterruption):
     jobs = 1
+
+
+@pytest.fixture(scope="module")
+def one_cell_cache(tmp_path_factory):
+    """A stage cache holding every stage of ``CELLS[0]``."""
+    root = tmp_path_factory.mktemp("one-cell-cache")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("REPRO_CACHE_DIR", str(root))
+        run_cells(CELLS[:1], SCALE, FAST, jobs=1)
+    return root
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+class TestCollectorScope:
+    """Artifacts loaded from the cache or returned by the pool are frozen
+    out of the cyclic collector while their run lasts.  However the run
+    ends, nothing stays frozen, and the collector is left enabled or
+    disabled as the caller had it."""
+
+    @pytest.fixture(autouse=True)
+    def warm(self, tmp_path, monkeypatch, one_cell_cache):
+        """Each test runs on its own copy of the one-cell cache."""
+        cache = tmp_path / "cache"
+        shutil.copytree(one_cell_cache, cache)
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(cache))
+
+    @pytest.fixture(params=[True, False], ids=["gc-enabled", "gc-disabled"])
+    def collector(self, request):
+        """The collector state the caller sets before the run."""
+        was = gc.isenabled()
+        (gc.enable if request.param else gc.disable)()
+        yield request.param
+        (gc.enable if was else gc.disable)()
+
+    @pytest.mark.parametrize("ending, raised", [
+        ("returns", None),
+        ("fails", StageFailure),
+        ("is-cancelled", FlowCancelled),
+        ("is-interrupted", KeyboardInterrupt),
+    ])
+    def test_nothing_stays_frozen(
+        self, jobs, ending, raised, collector, monkeypatch
+    ):
+        cells, polls = CELLS[:1], iter([False, False])
+
+        def cancel():
+            """Let the first two tasks start, then end the run."""
+            if not next(polls, True):
+                return False
+            if ending == "is-interrupted":
+                raise KeyboardInterrupt
+            return ending == "is-cancelled"
+
+        if ending == "fails":
+            # The cached cell loads; the other one fails in packing.
+            _inject_lut_packing_fault(monkeypatch)
+            cells = CELLS
+        if raised is None:
+            run_cells(cells, SCALE, FAST, jobs=jobs, cancel=cancel)
+        else:
+            with pytest.raises(raised):
+                run_cells(cells, SCALE, FAST, jobs=jobs, cancel=cancel)
+        assert gc.get_freeze_count() == 0
+        assert gc.isenabled() is collector
+
+    def test_loaded_artifacts_are_frozen_during_the_run(self, jobs):
+        """From the first cache hit on, every finished task sees frozen
+        objects: cached stages of the first cell, then (at ``jobs=2``
+        returned from the pool) the second cell's computed stages."""
+        frozen = {}
+
+        def progress(stage, cache_hit, _seconds):
+            frozen.setdefault(cache_hit, []).append(gc.get_freeze_count())
+
+        run_stage_graph(CELLS, SCALE, FAST, jobs, progress=progress)
+        assert sorted(frozen) == [False, True]
+        assert len(frozen[True]) == len(STAGES)
+        assert min(frozen[True] + frozen[False]) > 0
+        assert gc.get_freeze_count() == 0
