@@ -557,12 +557,22 @@ def _scale_arg(text: str) -> float:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+def _effort_arg(text: str) -> float:
+    """argparse ``type=`` for every ``--effort``: the rule of ``FlowOptions``."""
+    from .flow.options import check_effort
+
+    try:
+        return check_effort(float(text))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _add_flow_arguments(flow: argparse.ArgumentParser) -> None:
     flow.add_argument("design", choices=DESIGN_CHOICES)
     flow.add_argument("--arch", choices=["lut", "granular"], default="granular")
     flow.add_argument("--scale", type=_scale_arg, default=0.5)
     flow.add_argument("--seed", type=int, default=0)
-    flow.add_argument("--effort", type=float, default=0.2,
+    flow.add_argument("--effort", type=_effort_arg, default=0.2,
                       help="placement effort (1.0 = full anneal)")
     flow.add_argument("--no-cache", action="store_true",
                       help="bypass the content-addressed stage cache")
@@ -610,7 +620,7 @@ def build_parser() -> argparse.ArgumentParser:
                        default="all")
     check.add_argument("--scale", type=_scale_arg, default=0.5)
     check.add_argument("--seed", type=int, default=0)
-    check.add_argument("--effort", type=float, default=0.2,
+    check.add_argument("--effort", type=_effort_arg, default=0.2,
                        help="placement effort (1.0 = full anneal)")
     check.add_argument("--no-cache", action="store_true",
                        help="bypass the content-addressed stage cache")
@@ -740,7 +750,7 @@ def build_parser() -> argparse.ArgumentParser:
                         default="granular")
     submit.add_argument("--scale", type=_scale_arg, default=0.5)
     submit.add_argument("--seed", type=int, default=0)
-    submit.add_argument("--effort", type=float, default=0.2,
+    submit.add_argument("--effort", type=_effort_arg, default=0.2,
                         help="placement effort (1.0 = full anneal)")
     submit.add_argument("--priority", choices=["high", "normal", "low"],
                         default="normal")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from typing import Any, Dict
 
@@ -19,15 +20,26 @@ from ..timing.sta import DEFAULT_CLOCK_PERIOD_NS
 PERF_KNOBS = frozenset({"jobs", "use_cache", "observe", "check"})
 
 
+def check_effort(effort: Any) -> float:
+    """Return ``effort`` if it is a finite number > 0, else raise ValueError."""
+    if not (isinstance(effort, (int, float)) and math.isfinite(effort)
+            and effort > 0):
+        raise ValueError(
+            f"place_effort must be a finite number > 0, got {effort!r}"
+        )
+    return effort
+
+
 @dataclass(frozen=True)
 class FlowOptions:
     """Knobs for one flow run (defaults match the paper's setup).
 
     ``arch`` is ``"lut"`` or ``"granular"``.  ``place_effort`` scales the
-    annealing move budget (1.0 = full VPR schedule); experiment drivers
-    lower it for large designs to keep pure-Python runtimes sane — the
-    comparison is differential, so both architectures always run with
-    identical effort.
+    annealing move budget (1.0 = full VPR schedule) and must be a finite
+    number > 0 (:func:`check_effort`); experiment drivers lower it for
+    large designs to keep runtimes sane — the comparison is
+    differential, so both architectures always run with identical
+    effort.
 
     ``jobs`` is the worker count of the stage DAG that runs the
     evaluation matrix (:mod:`repro.flow.scheduler`): 1 runs it in this
@@ -76,6 +88,9 @@ class FlowOptions:
     use_cache: bool = True
     observe: bool = False
     check: bool = False
+
+    def __post_init__(self) -> None:
+        check_effort(self.place_effort)
 
     def with_arch(self, arch: str) -> "FlowOptions":
         from dataclasses import replace

@@ -7,45 +7,56 @@ from initial cost spread, cooling rate adapted to the acceptance ratio,
 exit when temperature is a tiny fraction of cost-per-net).
 
 Net cost is maintained *incrementally* and *exactly*.  Every net keeps
-its pin x coordinates in one sorted list and its y coordinates in
+its pin x coordinates in one sorted segment and its y coordinates in
 another, with multiplicity and with the net's pad as a fixed point.
 Relocating ``count`` copies of one point from ``old`` to ``new`` gives
-the exact new extent of an axis from the two end entries of its list::
+the exact new extent of an axis from the two end entries of its segment::
 
     lo = X[count] if X[0] == old else X[0];   lo = min(lo, new)
     hi = X[-1 - count] if X[-1] == old else X[-1];   hi = max(hi, new)
 
 (when the moved copies sit on a boundary they are its first ``count``
 entries).  A proposal is therefore evaluated in O(1) per touched net
-without mutating anything: the candidate per-net costs go to a scratch
-list, and only an accepted move installs them and updates the lists
-with ``list.remove`` plus ``bisect.insort`` (C-level, O(pins)), skipping
-an axis whose coordinate did not change.  Evaluation is fused into the
-sweep loop over integer-indexed state — site column/row lists per
-instance, a flat occupant list, a locked mask — so a move costs no
-method call and no dict lookup.  The total is re-summed left to right
-from the stored costs after every temperature, bounding drift in the
-running total.
+without mutating anything: the candidate per-net costs are staged, and
+only an accepted move installs them and shifts the moved points within
+their sorted segments, skipping an axis whose coordinate did not change.
+
+The move loop is one C function, ``sa_sweep`` in ``_sweep.c`` (built
+and loaded by :mod:`._kernel`), called once per temperature on the
+flat arrays :meth:`AnnealingPlacer._start` builds: int32 site, occupant
+and CSR contribution arrays, and float64 sorted segments, costs and
+staged costs.  Python keeps the schedule and the per-temperature
+telemetry, and re-sums the total left to right from the stored costs
+after every temperature, bounding drift in the running total.
 
 The placements are bit-identical to the reference apply/undo
 bounding-box implementation (kept in the test suite as the oracle)
 because five things are the same:
 
 1. Every stored cost is ``w * ((xmax - xmin) + (ymax - ymin))`` over the
-   *exact* box; any method that finds the exact extremes gives the same
-   double.
+   *exact* box, each operation rounded on its own: the kernel is built
+   with ``-ffp-contract=off``, so no compiler fuses ``w * (dx + dy) -
+   cost`` into a multiply-add (GCC does by default on aarch64).
 2. A move's delta sums ``new - old`` per net in first-touch order: the
    mover's nets in contribution order, then the partner's nets the mover
    did not touch.
-3. The RNG draws are unchanged: ``randrange``/``randint`` reduce to
-   ``getrandbits`` rejection sampling, which the loop inlines (same bit
-   stream, no per-call argument checks), and ``random()`` is drawn only
-   when ``delta > 0``.
-4. A swap whose two cells share a net takes an exact scan of that net
-   with both candidate coordinates.
+3. The RNG draws are the same.  Each sweep takes ``self.rng``'s
+   MT19937 state (``getstate``) and sets the advanced state back,
+   ``gauss_next`` untouched; the kernel steps it as CPython's
+   ``_randommodule.c`` does.  ``getrandbits(k <= 32)`` is the top ``k``
+   bits of one word, rejection-sampled as ``randrange``/``randint``
+   do; ``random()`` is ``(a >> 5, b >> 6)`` of two words, drawn only
+   when ``delta > 0`` and compared with libm's ``exp``, the function
+   ``math.exp`` calls.
+4. A swap whose two cells share a net leaves a cell on both sites of
+   that net, so its set of coordinates does not change: its staged
+   cost is its exact current extent.
 5. A net whose points all belong to one instance has constant (zero)
    cost, so it is left out of the contribution lists: adding ``+0.0``
    never changes a delta, and a delta is never ``-0.0``.
+
+Final sites are Python ints and ``final_cost`` a Python float, so no
+ctypes value reaches a pickled artifact or a cache entry.
 
 The placer is deterministic for a given seed — including across
 processes: per-move cost deltas are summed in a fixed net order derived
@@ -57,8 +68,8 @@ keep their PLB positions).
 
 from __future__ import annotations
 
-import bisect
-import math
+import ctypes
+import itertools
 import random
 import time
 from dataclasses import dataclass
@@ -67,11 +78,60 @@ from typing import Dict, List, Mapping, Optional, Tuple
 from ..netlist.core import Netlist
 from ..obs import core as _obs
 from ..obs.metrics import RATIO_BUCKETS
+from ._kernel import load as _load_kernel
 from .grid import PlacementGrid, Site
 
 #: Moves per temperature = MOVES_PER_CELL * n_cells ** 1.33, capped.
 MOVES_PER_CELL = 1.0
 MOVE_CAP_PER_TEMPERATURE = 40_000
+
+
+def _array(ctype, values):
+    """A ctypes array of ``ctype`` holding ``values``."""
+    values = list(values)
+    return (ctype * len(values))(*values)
+
+
+_I32 = ctypes.POINTER(ctypes.c_int32)
+_F64 = ctypes.POINTER(ctypes.c_double)
+
+
+class SweepState(ctypes.Structure):
+    """The flat cost state the kernel works on (``sweep_state`` in C)."""
+
+    _fields_ = [
+        ("n_movable", ctypes.c_int32),
+        ("cols", ctypes.c_int32),
+        ("rows", ctypes.c_int32),
+        ("movable", _I32),
+        ("col", _I32),
+        ("row", _I32),
+        ("occ", _I32),
+        ("locked", ctypes.POINTER(ctypes.c_uint8)),
+        ("col_x", _F64),
+        ("row_y", _F64),
+        ("contrib_off", _I32),
+        ("contrib_net", _I32),
+        ("contrib_cnt", _I32),
+        ("net_off", _I32),
+        ("xs", _F64),
+        ("ys", _F64),
+        ("weight", _F64),
+        ("cost", _F64),
+        ("pend", _F64),
+        ("stamp", ctypes.POINTER(ctypes.c_int64)),
+        ("epoch", ctypes.c_int64),
+        ("net_scans", ctypes.c_int64),
+    ]
+
+
+_sa_sweep = _load_kernel().sa_sweep
+_sa_sweep.argtypes = [
+    ctypes.POINTER(SweepState), ctypes.POINTER(ctypes.c_uint32),
+    ctypes.c_int32, ctypes.c_int64, ctypes.c_double, _F64,
+    ctypes.POINTER(ctypes.c_int64),
+]
+_sa_sweep.restype = None
 
 
 @dataclass
@@ -131,17 +191,14 @@ class AnnealingPlacer:
         # Only nets with >= 2 points can ever have nonzero cost
         # ("active"); they are numbered in netlist net order
         # (deterministic — never hash-randomized set order).  Per instance
-        # index, ``_contrib`` lists [(net index, point multiplicity,
-        # -1 - multiplicity)] in that order, leaving out nets whose points
-        # all sit on that one instance (constant cost); ``_points`` holds
-        # the same nets once per point.
+        # index, the ``_contrib_*`` CSR arrays list (net index, point
+        # multiplicity) in that order, leaving out nets whose points all
+        # sit on that one instance (constant cost).
         self.pads = grid.pad_positions(list(netlist.inputs) + list(netlist.outputs))
         self._index = {name: i for i, name in enumerate(self._instances)}
         self._active_nets: List[str] = []
-        self._net_weight: List[float] = []
-        self._contrib: List[List[Tuple[int, int, int]]] = [
-            [] for _ in self._instances
-        ]
+        weights: List[float] = []
+        contrib: List[List[Tuple[int, int]]] = [[] for _ in self._instances]
         for net_name, net in netlist.nets.items():
             counts: Dict[str, int] = {}
             if net.driver is not None:
@@ -153,18 +210,29 @@ class AnnealingPlacer:
                 continue
             k = len(self._active_nets)
             self._active_nets.append(net_name)
-            self._net_weight.append(1.0 + self.net_weights.get(net_name, 0.0))
+            weights.append(1.0 + self.net_weights.get(net_name, 0.0))
             if len(counts) == 1 and not has_pad:
                 continue
             for member, count in counts.items():
-                self._contrib[self._index[member]].append(
-                    (k, count, -1 - count)
-                )
-        self._points = [
-            [k for k, n, _nn in entries for _ in range(n)]
-            for entries in self._contrib
-        ]
-        self._movable_idx = [self._index[name] for name in self._movable]
+                contrib[self._index[member]].append((k, count))
+        self._net_weight = _array(ctypes.c_double, weights)
+        self._contrib_off = _array(
+            ctypes.c_int32, itertools.accumulate(
+                (len(entries) for entries in contrib), initial=0
+            ),
+        )
+        self._contrib_net = _array(
+            ctypes.c_int32, [k for entries in contrib for k, _n in entries]
+        )
+        self._contrib_cnt = _array(
+            ctypes.c_int32, [n for entries in contrib for _k, n in entries]
+        )
+        self._movable_idx = _array(
+            ctypes.c_int32, [self._index[name] for name in self._movable]
+        )
+        self._locked_mask = _array(
+            ctypes.c_uint8, [name in self.locked for name in self._instances]
+        )
 
         # Populated by place(): the final exact cost and aggregate
         # move-kernel counters (proposed = drawn proposals, evaluated =
@@ -172,7 +240,8 @@ class AnnealingPlacer:
         # moves) for observability and benchmarks.
         self.final_cost: Optional[float] = None
         self.stats: Dict[str, float] = {}
-        # Full pin rescans of a net (shared-net swaps), for sa.net_scans.
+        # Nets shared by the two cells of an evaluated swap, for
+        # sa.net_scans.
         self._net_scans = 0
 
     # ------------------------------------------------------------------
@@ -187,7 +256,9 @@ class AnnealingPlacer:
 
     # ------------------------------------------------------------------
     # Cost state.  Sites are (col, row) per instance index; site (c, r)
-    # is slot ``r * cols + c`` of the flat occupant list (-1 = empty).
+    # is slot ``r * cols + c`` of the flat occupant array (-1 = empty).
+    # Net ``k``'s sorted pin coordinates are ``_xs``/``_ys`` slots
+    # ``_net_off[k]`` up to ``_net_off[k + 1]``.
     def _start(self, sites: Dict[str, Site]) -> None:
         """Build the exact cost state for the assignment ``sites``."""
         grid = self.grid
@@ -195,48 +266,64 @@ class AnnealingPlacer:
         cols = grid.cols
         # Site-center tables: center_of((c, r)) without the method call
         # (identical expression, identical bits).
-        self._col_x = [(c + 0.5) * pitch for c in range(cols)]
-        self._row_y = [(r + 0.5) * pitch for r in range(grid.rows)]
+        col_x = [(c + 0.5) * pitch for c in range(cols)]
+        row_y = [(r + 0.5) * pitch for r in range(grid.rows)]
         n = len(self._instances)
-        self._col = col = [0] * n
-        self._row = row = [0] * n
-        self._occ = occ = [-1] * grid.n_sites
+        col = [0] * n
+        row = [0] * n
+        occ = [-1] * grid.n_sites
         for name, (c, r) in sites.items():
             i = self._index[name]
             col[i] = c
             row[i] = r
             occ[r * cols + c] = i
-        self._locked_mask = [name in self.locked for name in self._instances]
         self._sites = sites
 
-        xs: List[List[float]] = []
-        ys: List[List[float]] = []
+        net_off = [0]
+        xs: List[float] = []
+        ys: List[float] = []
+        costs: List[float] = []
         nets = self.netlist.nets
-        for net_name in self._active_nets:
+        for net_name, w in zip(self._active_nets, self._net_weight):
             net = nets[net_name]
             members = [net.driver[0]] if net.driver is not None else []
             members += [sink for sink, _pin in net.sinks]
-            X = [self._col_x[col[self._index[m]]] for m in members]
-            Y = [self._row_y[row[self._index[m]]] for m in members]
+            X = [col_x[col[self._index[m]]] for m in members]
+            Y = [row_y[row[self._index[m]]] for m in members]
             pad = self.pads.get(net_name)
             if pad is not None:
                 X.append(pad[0])
                 Y.append(pad[1])
             X.sort()
             Y.sort()
-            xs.append(X)
-            ys.append(Y)
-        self._xs = xs
-        self._ys = ys
-        self._cost = [
-            w * ((X[-1] - X[0]) + (Y[-1] - Y[0]))
-            for w, X, Y in zip(self._net_weight, xs, ys)
-        ]
-        # Candidate per-net costs of the move being evaluated, and the
-        # move stamp marking the mover's nets (shared-net detection).
-        self._pend = [0.0] * len(xs)
-        self._stamp = [0] * len(xs)
-        self._epoch = 0
+            costs.append(w * ((X[-1] - X[0]) + (Y[-1] - Y[0])))
+            xs += X
+            ys += Y
+            net_off.append(len(xs))
+        n_nets = len(costs)
+        self._col = _array(ctypes.c_int32, col)
+        self._row = _array(ctypes.c_int32, row)
+        self._occ = _array(ctypes.c_int32, occ)
+        self._net_off = _array(ctypes.c_int32, net_off)
+        self._xs = _array(ctypes.c_double, xs)
+        self._ys = _array(ctypes.c_double, ys)
+        self._cost = _array(ctypes.c_double, costs)
+        self._state = SweepState(
+            n_movable=len(self._movable_idx), cols=cols, rows=grid.rows,
+            movable=self._movable_idx, col=self._col, row=self._row,
+            occ=self._occ, locked=self._locked_mask,
+            col_x=_array(ctypes.c_double, col_x),
+            row_y=_array(ctypes.c_double, row_y),
+            contrib_off=self._contrib_off, contrib_net=self._contrib_net,
+            contrib_cnt=self._contrib_cnt, net_off=self._net_off,
+            xs=self._xs, ys=self._ys, weight=self._net_weight,
+            cost=self._cost,
+            # Kernel scratch: the candidate cost of each net the move
+            # being evaluated touches, and the move stamp marking the
+            # mover's nets (shared-net detection).
+            pend=(ctypes.c_double * n_nets)(),
+            stamp=(ctypes.c_int64 * n_nets)(),
+        )
 
     def _total_cost(self) -> float:
         """Total cost: the stored exact costs summed left to right.
@@ -245,7 +332,7 @@ class AnnealingPlacer:
         which would change the total's last bits between versions.
         """
         total = 0.0
-        for c in self._cost:
+        for c in self._cost[:]:
             total += c
         return total
 
@@ -260,7 +347,7 @@ class AnnealingPlacer:
 
     def net_costs(self) -> Dict[str, float]:
         """Per-net weighted cost for every active (>= 2 point) net."""
-        return dict(zip(self._active_nets, self._cost))
+        return dict(zip(self._active_nets, self._cost[:]))
 
     # ------------------------------------------------------------------
     def place(self) -> Placement:
@@ -385,230 +472,17 @@ class AnnealingPlacer:
 
         With a ``deltas`` list, every proposal is applied instead and its
         signed cost delta recorded (``0.0`` for a null proposal): the
-        initial-temperature sampling, which draws no ``random()``.
+        initial-temperature sampling, which draws no ``random()``.  The
+        kernel draws from the generator state of ``self.rng``, which is
+        handed over and taken back whole (``gauss_next`` included).
         """
-        record = deltas is not None
-        rng = self.rng
-        getrandbits = rng.getrandbits
-        rng_random = rng.random
-        exp = math.exp
-        insort = bisect.insort
-        movable = self._movable_idx
-        n_mov = len(movable)
-        k_mov = n_mov.bit_length()
-        span = 2 * range_limit + 1
-        k_span = span.bit_length()
-        cols = self.grid.cols
-        col_hi = cols - 1
-        row_hi = self.grid.rows - 1
-        col_of, row_of, occ = self._col, self._row, self._occ
-        locked = self._locked_mask
-        col_x, row_y = self._col_x, self._row_y
-        contrib, points = self._contrib, self._points
-        xs, ys = self._xs, self._ys
-        weight, cost, pend = self._net_weight, self._cost, self._pend
-        stamp = self._stamp
-        epoch = self._epoch
-        accepted = 0
-        evaluated = 0
-        for _ in range(moves):
-            r = getrandbits(k_mov)
-            while r >= n_mov:
-                r = getrandbits(k_mov)
-            i = movable[r]
-            c0 = col_of[i]
-            r0 = row_of[i]
-            r = getrandbits(k_span)
-            while r >= span:
-                r = getrandbits(k_span)
-            c1 = c0 - range_limit + r
-            if c1 < 0:
-                c1 = 0
-            elif c1 > col_hi:
-                c1 = col_hi
-            r = getrandbits(k_span)
-            while r >= span:
-                r = getrandbits(k_span)
-            r1 = r0 - range_limit + r
-            if r1 < 0:
-                r1 = 0
-            elif r1 > row_hi:
-                r1 = row_hi
-            mx = c1 != c0
-            my = r1 != r0
-            if not (mx or my):
-                if record:
-                    deltas.append(0.0)
-                continue
-            s1 = r1 * cols + c1
-            o = occ[s1]
-            if o >= 0 and locked[o]:
-                if record:
-                    deltas.append(0.0)
-                continue
-            evaluated += 1
-            old_x = col_x[c0]
-            new_x = col_x[c1]
-            old_y = row_y[r0]
-            new_y = row_y[r1]
-            epoch += 1
-
-            # Mover's nets: ``n`` points relocate old -> new.
-            delta = 0.0
-            for k, n, nn in contrib[i]:
-                stamp[k] = epoch
-                X = xs[k]
-                if mx:
-                    lo = X[0]
-                    if lo == old_x:
-                        lo = X[n]
-                    if new_x < lo:
-                        lo = new_x
-                    hi = X[-1]
-                    if hi == old_x:
-                        hi = X[nn]
-                    if new_x > hi:
-                        hi = new_x
-                    dx = hi - lo
-                else:
-                    dx = X[-1] - X[0]
-                Y = ys[k]
-                if my:
-                    lo = Y[0]
-                    if lo == old_y:
-                        lo = Y[n]
-                    if new_y < lo:
-                        lo = new_y
-                    hi = Y[-1]
-                    if hi == old_y:
-                        hi = Y[nn]
-                    if new_y > hi:
-                        hi = new_y
-                    dy = hi - lo
-                else:
-                    dy = Y[-1] - Y[0]
-                c = weight[k] * (dx + dy)
-                pend[k] = c
-                delta += c - cost[k]
-
-            # Partner's nets: ``n`` points relocate new -> old.  A net the
-            # mover also sits on needs both relocations at once.
-            if o >= 0:
-                shared = False
-                for k, n, nn in contrib[o]:
-                    if stamp[k] == epoch:
-                        shared = True
-                        continue
-                    X = xs[k]
-                    if mx:
-                        lo = X[0]
-                        if lo == new_x:
-                            lo = X[n]
-                        if old_x < lo:
-                            lo = old_x
-                        hi = X[-1]
-                        if hi == new_x:
-                            hi = X[nn]
-                        if old_x > hi:
-                            hi = old_x
-                        dx = hi - lo
-                    else:
-                        dx = X[-1] - X[0]
-                    Y = ys[k]
-                    if my:
-                        lo = Y[0]
-                        if lo == new_y:
-                            lo = Y[n]
-                        if old_y < lo:
-                            lo = old_y
-                        hi = Y[-1]
-                        if hi == new_y:
-                            hi = Y[nn]
-                        if old_y > hi:
-                            hi = old_y
-                        dy = hi - lo
-                    else:
-                        dy = Y[-1] - Y[0]
-                    c = weight[k] * (dx + dy)
-                    pend[k] = c
-                    delta += c - cost[k]
-                if shared:
-                    delta = self._shared_swap_delta(
-                        i, o, old_x, old_y, new_x, new_y
-                    )
-
-            if record:
-                deltas.append(delta)
-            elif delta > 0 and not rng_random() < exp(-delta / temperature):
-                continue
-
-            # Accept: install the candidate costs and move the points.
-            accepted += 1
-            col_of[i] = c1
-            row_of[i] = r1
-            occ[s1] = i
-            occ[r0 * cols + c0] = o
-            for k in points[i]:
-                cost[k] = pend[k]
-                if mx:
-                    X = xs[k]
-                    X.remove(old_x)
-                    insort(X, new_x)
-                if my:
-                    Y = ys[k]
-                    Y.remove(old_y)
-                    insort(Y, new_y)
-            if o >= 0:
-                col_of[o] = c0
-                row_of[o] = r0
-                for k in points[o]:
-                    cost[k] = pend[k]
-                    if mx:
-                        X = xs[k]
-                        X.remove(new_x)
-                        insort(X, old_x)
-                    if my:
-                        Y = ys[k]
-                        Y.remove(new_y)
-                        insort(Y, old_y)
-        self._epoch = epoch
-        return accepted, evaluated
-
-    def _shared_swap_delta(
-        self, i: int, o: int,
-        old_x: float, old_y: float, new_x: float, new_y: float,
-    ) -> float:
-        """Exact delta of swapping ``i`` (at old) with ``o`` (at new) when
-        the two share a net.
-
-        Each shared net's candidate cost is rescanned from its points with
-        both instances relocated (counted in ``_net_scans``); the delta is
-        then re-summed in first-touch order over the candidate costs the
-        sweep staged.
-        """
-        xs, ys, cost, pend = self._xs, self._ys, self._cost, self._pend
-        partner = {k: n for k, n, _nn in self._contrib[o]}
-        delta = 0.0
-        for k, n, _nn in self._contrib[i]:
-            m = partner.pop(k, 0)
-            if m:
-                self._net_scans += 1
-                X = list(xs[k])
-                Y = list(ys[k])
-                for _ in range(n):
-                    X.remove(old_x)
-                    X.append(new_x)
-                    Y.remove(old_y)
-                    Y.append(new_y)
-                for _ in range(m):
-                    X.remove(new_x)
-                    X.append(old_x)
-                    Y.remove(new_y)
-                    Y.append(old_y)
-                pend[k] = self._net_weight[k] * (
-                    (max(X) - min(X)) + (max(Y) - min(Y))
-                )
-            delta += pend[k] - cost[k]
-        for k in partner:
-            delta += pend[k] - cost[k]
-        return delta
+        version, words, gauss_next = self.rng.getstate()
+        mt = (ctypes.c_uint32 * len(words))(*words)
+        out = (ctypes.c_int64 * 3)()
+        buf = None if deltas is None else (ctypes.c_double * moves)()
+        _sa_sweep(self._state, mt, range_limit, moves, temperature, buf, out)
+        self.rng.setstate((version, tuple(mt), gauss_next))
+        if deltas is not None:
+            deltas.extend(buf)
+        self._net_scans += out[2]
+        return out[0], out[1]

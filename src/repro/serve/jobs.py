@@ -130,6 +130,7 @@ class JobSpec:
                 f"unsubmittable option(s) {bad} "
                 f"(choices: {sorted(_SUBMITTABLE_OPTIONS)})"
             )
+        FlowOptions.from_dict(dict(options))  # raises on a bad value
         priority = payload.get("priority", "normal")
         if priority not in PRIORITIES:
             raise ValueError(

@@ -152,6 +152,34 @@ class TestExperimentHelpers:
             capsys.readouterr().err
         )
 
+    #: Efforts that are not a finite number > 0 (``1e999`` reads as inf).
+    BAD_EFFORTS = [float("nan"), float("1e999"), "high", -3]
+
+    @pytest.mark.parametrize("effort", BAD_EFFORTS)
+    def test_flow_options_reject_bad_effort(self, effort):
+        from repro.flow.options import FlowOptions
+
+        with pytest.raises(ValueError, match="finite number > 0"):
+            FlowOptions(place_effort=effort)
+        with pytest.raises(ValueError, match="finite number > 0"):
+            FlowOptions.from_dict({"place_effort": effort})
+
+    @pytest.mark.parametrize("argv", [
+        ["flow", "alu", "--effort", "nan"],
+        ["run", "alu", "--effort", "1e999"],
+        ["check", "alu", "--effort", "high"],
+        ["submit", "alu", "--effort", "-3"],
+    ])
+    def test_cli_effort_is_a_usage_error(self, argv, tmp_path, monkeypatch,
+                                         capsys):
+        from repro.cli import main
+
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        with pytest.raises(SystemExit) as exc:
+            main(["-q"] + argv)
+        assert exc.value.code == 2
+        assert "--effort:" in capsys.readouterr().err
+
     def test_matrix_memoization(self, monkeypatch):
         import repro.flow.experiments as exp
 

@@ -1,20 +1,24 @@
 """Golden-equivalence tests for the performance kernels.
 
-The hot paths rewritten for speed — the SA placement cost state and the
-persistent realization tables — each keep a slow reference
-implementation.  These tests pin the fast paths to the reference ones
-bit for bit: identical placements and costs for the annealer versus the
-apply/undo bounding-box oracle (``sa_oracle.py``), pinned physical-stage
-placement digests, equal tables for a persisted load versus a fresh
-derivation, and identical NPN canonicalization for the lookup table
-versus the exhaustive search.
+The hot paths rewritten for speed — the SA placement move loop (a
+compiled C kernel) and the persistent realization tables — each keep a
+slow reference implementation.  These tests pin the fast paths to the
+reference ones bit for bit: identical placements and costs for the
+annealer versus the apply/undo bounding-box oracle (``sa_oracle.py``),
+pinned physical-stage placement digests, equal tables for a persisted
+load versus a fresh derivation, and identical NPN canonicalization for
+the lookup table versus the exhaustive search.  They also hold the
+kernel loader to its build contract.
 """
 
+import ctypes
 import hashlib
 import os
 import random
 import subprocess
 import sys
+import time
+from pathlib import Path
 from typing import List
 
 import pytest
@@ -27,6 +31,7 @@ from repro.logic.npn import (
     npn_canonical_with_transform,
 )
 from repro.logic.truthtable import TruthTable
+from repro.place import _kernel
 from repro.place.grid import grid_for_netlist
 from repro.place.sa import AnnealingPlacer
 from repro.synth.realize import (
@@ -83,7 +88,8 @@ class TestSAEngineEquivalence:
             assert placement[name] == site
 
     def test_double_pin_design_matches(self):
-        assert_same_anneal(make_double_pin_design(), seed=4, effort=0.5)
+        fast = assert_same_anneal(make_double_pin_design(), seed=4, effort=0.5)
+        assert max(fast._contrib_cnt) >= 2
 
     def test_single_instance_net_matches(self):
         netlist = make_single_instance_net_design()
@@ -91,25 +97,31 @@ class TestSAEngineEquivalence:
         # The self-loop net is active (two points) but constant, so it is
         # left out of the contribution lists.
         k = fast._active_nets.index("loop")
-        assert all(k != kk for entries in fast._contrib for kk, _n, _nn in entries)
+        assert k not in list(fast._contrib_net)
         assert fast.net_costs()["loop"] == 0.0
 
 
 def make_double_pin_design():
-    """A design where one net feeds two pins of the same instance.
+    """A ripple design plus a gate whose input pins all tie to one net.
 
-    The AND's both inputs tie to the same net, so that instance
-    contributes the net's point twice (the ``count == 2`` move path).
+    That instance contributes the net's point several times (the
+    multiplicity > 1 move path).
     """
-    from repro.netlist.build import NetlistBuilder
-
-    b = NetlistBuilder("double_pin")
-    x = b.input("x")
-    y = b.input("y")
-    n = b.AND(x, x)
-    b.output(b.XOR(n, y), "o")
-    b.output(b.AND(n, x), "p")
-    return b.netlist
+    netlist = make_ripple_design(4)
+    template = next(
+        inst for inst in netlist.instances.values()
+        if not inst.is_sequential and len(inst.cell.pins) >= 3
+    )
+    shared = next(
+        name for name, net in netlist.nets.items()
+        if net.driver is not None and net.sinks
+    )
+    pin_nets = {pin: shared for pin in template.cell.pins}
+    pin_nets[template.cell.output_pin] = "double_out"
+    netlist.add_instance(
+        template.cell, pin_nets, config=template.config, name="double"
+    )
+    return netlist
 
 
 def make_single_instance_net_design():
@@ -132,35 +144,51 @@ def make_single_instance_net_design():
     return netlist
 
 
-class ScriptedRandom(random.Random):
-    """An RNG whose draws are scripted: each ``getrandbits`` call pops
-    the next queued value, each ``random()`` the next queued uniform.
+def _untemper(y: int) -> int:
+    """The MT19937 state word that the generator outputs as ``y``."""
+    y ^= y >> 18
+    x = y
+    for _ in range(3):
+        x = y ^ ((x << 15) & 0xEFC60000)
+    y = x & 0xFFFFFFFF
+    x = y
+    for _ in range(5):
+        x = y ^ ((x << 7) & 0x9D2C5680)
+    y = x & 0xFFFFFFFF
+    x = y
+    for _ in range(3):
+        x = y ^ (x >> 11)
+    return x
 
-    ``randrange``/``randint`` draw through ``getrandbits``, so the
-    oracle's move loop and the placer's inlined one consume the same
-    script.
+
+def script_rng(rng: random.Random, draws) -> None:
+    """Make ``rng``'s next ``getrandbits(k)`` calls return the scripted
+    values, one ``(value, k)`` per call.
+
+    Each draw is one generator word, and ``getrandbits(k <= 32)`` is
+    the word's top ``k`` bits; the words go into the Mersenne Twister
+    state at index 0, so the state index afterwards counts the words
+    consumed.  ``randrange``/``randint`` and ``random()`` draw through
+    the same words, so one script drives both the oracle's move loop
+    and the compiled kernel.
     """
-
-    def __init__(self):
-        super().__init__(0)
-        self.bits: List[int] = []
-        self.uniforms: List[float] = []
-
-    def getrandbits(self, k):
-        value = self.bits.pop(0)
+    words = [_untemper(value << (32 - k)) for value, k in draws]
+    for value, k in draws:
         assert 0 <= value < (1 << k)
-        return value
+    rng.setstate((3, tuple(words + [0] * (624 - len(words))) + (0,), None))
 
-    def random(self):
-        return self.uniforms.pop(0)
+
+#: The two words of the largest ``random()``, 1 - 2**-53: at temperature
+#: 1.0 it rejects every move that raises the cost.
+REJECT_UNIFORM = [((1 << 27) - 1, 27), ((1 << 26) - 1, 26)]
 
 
 class TestSpeculativeEngineLevel:
     """Evaluate-then-install must equal the oracle's apply/undo bit for bit.
 
     Both placers run one-move sweeps from a shared start, driven by the
-    same scripted RNG, so every proposal is chosen by the test: swaps
-    whose cells share a net, moves along a row or column among
+    same scripted generator, so every proposal is chosen by the test:
+    swaps whose cells share a net, moves along a row or column among
     coincident coordinates, multi-pin contributions.  Accepted moves are
     run with delta recording (the exact deltas are compared); rejected
     ones must leave the production state untouched.
@@ -175,47 +203,46 @@ class TestSpeculativeEngineLevel:
         ref._start(dict(sites))
         fast._start(sites)
         assert fast._total_cost() == ref._total_cost()
-        fast.rng = ScriptedRandom()
-        ref.rng = ScriptedRandom()
         return fast, ref
 
     @staticmethod
     def _state(fast):
         return (
             list(fast._cost), list(fast._col), list(fast._row),
-            list(fast._occ), [list(X) for X in fast._xs],
-            [list(Y) for Y in fast._ys],
+            list(fast._occ), list(fast._xs), list(fast._ys),
         )
 
     @staticmethod
     def _assert_lists_exact(fast, ref):
-        """Each net's sorted lists hold exactly its current points.
+        """Each net's sorted segments hold exactly its current points.
 
         Constant nets (every point on one instance) are exempt: no move
-        touches their lists, and their cost is zero wherever they sit.
+        touches their segments, and their cost is zero wherever they sit.
         """
-        moving = {k for entries in fast._contrib for k, _n, _nn in entries}
+        moving = set(fast._contrib_net)
+        off = fast._net_off
         for k, net in enumerate(fast._active_nets):
             if k not in moving:
                 continue
             points = ref.engine._net_points(net)
-            assert fast._xs[k] == sorted(p[0] for p in points)
-            assert fast._ys[k] == sorted(p[1] for p in points)
+            lo, hi = off[k], off[k + 1]
+            assert fast._xs[lo:hi] == sorted(p[0] for p in points)
+            assert fast._ys[lo:hi] == sorted(p[1] for p in points)
 
     def _propose(self, fast, ref, mover, new_site, accept):
         """Propose ``mover -> new_site`` on both; returns the oracle's
         (accepted, evaluated, delta), ``delta`` None when not recorded."""
         grid = fast.grid
         reach = max(grid.cols, grid.rows)
+        k_span = (2 * reach + 1).bit_length()
         old_site = ref._sites[mover]
         script = [
-            fast._movable.index(mover),
-            new_site[0] - old_site[0] + reach,
-            new_site[1] - old_site[1] + reach,
-        ]
+            (fast._movable.index(mover), len(fast._movable).bit_length()),
+            (new_site[0] - old_site[0] + reach, k_span),
+            (new_site[1] - old_site[1] + reach, k_span),
+        ] + REJECT_UNIFORM
         for placer in (fast, ref):
-            placer.rng.bits[:] = script
-            placer.rng.uniforms[:] = [1.0]
+            script_rng(placer.rng, script)
         if accept:
             d_fast: List[float] = []
             d_ref: List[float] = []
@@ -231,9 +258,13 @@ class TestSpeculativeEngineLevel:
             if out_ref == (0, 1):  # rejected
                 assert self._state(fast) == before
         assert out_fast == out_ref
-        for placer in (fast, ref):
-            assert not placer.rng.bits
-        assert fast.rng.uniforms == ref.rng.uniforms
+        # The same words consumed: the three move draws, plus the two of
+        # the uniform when a cost-raising move was put to the test.
+        consumed = ref.rng.getstate()[1][-1]
+        assert fast.rng.getstate()[1][-1] == consumed
+        assert consumed == 3 if accept else consumed in (3, 5)
+        if out_ref == (0, 1):
+            assert consumed == 5
         assert fast.net_costs() == ref.net_costs()
         assert fast._final_sites() == ref._final_sites()
         return out_ref + (delta,)
@@ -268,14 +299,14 @@ class TestSpeculativeEngineLevel:
         self._drive(make_single_instance_net_design(), seed=3)
 
     def test_shared_net_swap_matches(self):
-        """Swapping two cells on the same net relocates both at once."""
+        """Swapping two cells on the same net relocates both at once.
+
+        Every net the two share is rescanned once per swap, as the
+        ``sa.net_scans`` counter reports.
+        """
         netlist = make_ripple_design(4)
         fast, ref = self._pair(netlist)
-        rescans = []
-        fast._shared_swap_delta = lambda *args: rescans.append(args) or (
-            AnnealingPlacer._shared_swap_delta(fast, *args)
-        )
-        swaps = 0
+        swaps = expected_scans = 0
         for net in netlist.nets.values():
             if net.driver is None:
                 continue
@@ -283,28 +314,35 @@ class TestSpeculativeEngineLevel:
             for b, _pin in net.sinks:
                 if b == a or a not in fast._movable:
                     continue
+                nets_a = {name for name, _ in ref._contrib_of[a]}
+                nets_b = {name for name, _ in ref._contrib_of[b]}
                 # Swap there and back: two shared-net evaluations.
                 for _ in range(2):
                     self._propose(fast, ref, a, ref._sites[b], accept=True)
                     swaps += 1
-        assert swaps > 4 and len(rescans) == swaps
+                    expected_scans += len(nets_a & nets_b)
+        assert swaps > 4 and expected_scans >= swaps
+        assert fast._net_scans == expected_scans
         self._assert_lists_exact(fast, ref)
 
     def test_coincident_boundary_counts_match(self):
         """Moves along a row, then a column, among coincident coordinates."""
-        netlist = make_ripple_design(5)
-        fast, ref = self._pair(netlist)
-        grid = fast.grid
         # Walk one instance along its own row and column: every step
         # keeps one coordinate coincident with other cells in that
         # row/column, so boundaries hold several points on both ends.
-        mover = fast._movable[0]
-        col, row = ref._sites[mover]
-        steps = [(c, row) for c in range(grid.cols)]
-        steps += [(col, r) for r in range(grid.rows)]
-        for new_site in steps + steps[::-1]:
-            self._propose(fast, ref, mover, new_site, accept=True)
-            self._assert_lists_exact(fast, ref)
+        # The double-pin design walks its gate with the repeated pin.
+        for netlist, mover in [
+            (make_ripple_design(5), 0), (make_double_pin_design(), -1),
+        ]:
+            fast, ref = self._pair(netlist)
+            grid = fast.grid
+            mover = fast._movable[mover]
+            col, row = ref._sites[mover]
+            steps = [(c, row) for c in range(grid.cols)]
+            steps += [(col, r) for r in range(grid.rows)]
+            for new_site in steps + steps[::-1]:
+                self._propose(fast, ref, mover, new_site, accept=True)
+                self._assert_lists_exact(fast, ref)
 
     def test_rejected_evaluation_leaves_state_untouched(self):
         netlist = make_ripple_design(4)
@@ -369,6 +407,93 @@ def test_pinned_placement_digest(cell, monkeypatch):
     digest = hashlib.sha256(blob.encode()).hexdigest()
     assert digest == PINNED_PLACEMENTS[cell]
     assert physical.placement_stats["engine"] == "array"
+
+
+def _kernel_env():
+    """The environment a child process needs to import this ``repro``."""
+    import repro
+
+    src = str(Path(repro.__file__).resolve().parent.parent)
+    return dict(os.environ, PYTHONPATH=src)
+
+
+class TestKernelLoader:
+    """The compiled move loop is built once per source and loaded safely."""
+
+    def test_second_load_reuses_the_library(self, tmp_path, monkeypatch):
+        _kernel.load(tmp_path)
+        built = sorted(tmp_path.iterdir())
+        assert [path.suffix for path in built] == [".so"]
+
+        def no_compiler(*args, **kwargs):
+            raise AssertionError("the compiler ran again")
+
+        monkeypatch.setattr(_kernel.subprocess, "run", no_compiler)
+        assert _kernel.load(tmp_path).sa_sweep
+        assert sorted(tmp_path.iterdir()) == built
+
+    def test_concurrent_builds_both_load(self, tmp_path):
+        """Two processes building into one empty directory at once."""
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        go = tmp_path / "go"
+        child = (
+            "import sys, time\n"
+            "from pathlib import Path\n"
+            "from repro.place import _kernel\n"
+            "Path(sys.argv[2]).touch()\n"
+            "while not Path(sys.argv[3]).exists():\n"
+            "    time.sleep(0.005)\n"
+            "print(_kernel.load(Path(sys.argv[1])).sa_sweep.__name__)\n"
+        )
+        procs = [
+            subprocess.Popen(
+                [sys.executable, "-c", child, str(cache),
+                 str(tmp_path / f"ready{n}"), str(go)],
+                env=_kernel_env(), stdout=subprocess.PIPE,
+            )
+            for n in range(2)
+        ]
+        deadline = time.monotonic() + 60
+        while not all((tmp_path / f"ready{n}").exists() for n in range(2)):
+            assert time.monotonic() < deadline
+            time.sleep(0.005)
+        go.touch()
+        for proc in procs:
+            out, _ = proc.communicate(timeout=60)
+            assert proc.returncode == 0
+            assert b"sa_sweep" in out
+        # One library, no temporaries left behind, and it loads.
+        (library,) = cache.iterdir()
+        assert library.suffix == ".so"
+        assert ctypes.CDLL(str(library)).sa_sweep
+
+    def test_read_only_cache_builds_privately(self, tmp_path, monkeypatch):
+        cache = tmp_path / "__pycache__"
+        cache.mkdir()
+        cache.chmod(0o555)
+        if os.geteuid() == 0:
+            # Root writes through mode bits; report them as they read.
+            access = os.access
+            monkeypatch.setattr(
+                os, "access",
+                lambda path, mode: access(path, mode)
+                and not (Path(path) == cache and mode & os.W_OK),
+            )
+        try:
+            lib = _kernel.load(cache)
+        finally:
+            cache.chmod(0o755)
+        assert lib.sa_sweep
+        assert not any(cache.iterdir())
+        # Built in a private temporary directory, removed once loaded.
+        assert not Path(lib._name).exists()
+
+    def test_missing_compiler_is_an_import_error(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("PATH", str(tmp_path / "no-bin"))
+        with pytest.raises(ImportError, match="`cc`"):
+            _kernel.load(tmp_path)
+        assert not any(tmp_path.iterdir())
 
 
 class TestPersistentRealizationTables:

@@ -91,6 +91,14 @@ class TestJobSpec:
         ({"design": "alu", "priority": "urgent"}, "unknown priority"),
         ({"design": "alu", "timeout_seconds": -1}, "positive"),
         ([1, 2], "JSON object"),
+        ({"design": "alu", "options": {"place_effort": float("nan")}},
+         "finite number > 0"),
+        ({"design": "alu", "options": {"place_effort": float("1e999")}},
+         "finite number > 0"),
+        ({"design": "alu", "options": {"place_effort": "high"}},
+         "finite number > 0"),
+        ({"design": "alu", "options": {"place_effort": -3}},
+         "finite number > 0"),
     ])
     def test_rejects(self, payload, match):
         with pytest.raises(ValueError, match=match):
@@ -531,6 +539,26 @@ class TestMalformedRequests:
         threading.Thread(target=srv.httpd.serve_forever, daemon=True).start()
         yield srv
         srv.close()
+
+    @pytest.mark.parametrize("effort", ["NaN", "1e999", '"high"', "-3"])
+    def test_bad_effort_is_400(self, http_only, effort):
+        import http.client
+
+        body = ('{"design": "alu", "options": {"place_effort": %s}}'
+                % effort).encode()
+        conn = http.client.HTTPConnection(
+            "127.0.0.1", http_only.port, timeout=10
+        )
+        try:
+            conn.request("POST", "/v1/jobs", body=body,
+                         headers={"Content-Type": "application/json"})
+            response = conn.getresponse()
+            error = json.loads(response.read())["error"]
+        finally:
+            conn.close()
+        assert response.status == 400
+        assert "place_effort must be a finite number > 0" in error
+        assert http_only.queue.depth() == 0
 
     @pytest.mark.parametrize("method, target, headers", [
         ("GET", "/events?since=abc", {}),

@@ -12,7 +12,7 @@ per iteration:
 ``synth.flowmap.searches``    FlowMap augmenting-path searches
 ``sa.evaluated``              SA moves whose cost delta was computed
 ``sa.accepted``               SA moves committed
-``sa.net_scans``              full pin scans of a net (shared-net swaps)
+``sa.net_scans``              nets shared by the two cells of a swap
 ``route.heap_pushes``         PathFinder A* heap pushes
 ``pathfinder.iterations``     PathFinder negotiation iterations
 ``pack.spills``               cells quadrisection spilled to a neighbour
