@@ -50,7 +50,10 @@ The failure and cancellation contract is the same at every job count.
 A stage that raises, or whose artifact cannot be pickled, fails only the
 cells that transitively depend on it; unaffected cells complete, and the
 run ends with :class:`StageFailure` carrying the original traceback and
-every completed cell's result.  The ``cancel`` hook is polled before
+every completed cell's result.  A pool worker that dies (killed, or
+``os._exit``) breaks its pool: every task still on it fails the same
+way, with the pool's ``BrokenProcessPool`` as its traceback, and the
+next pool task starts a fresh pool.  The ``cancel`` hook is polled before
 every task leaves the ready heap; once it returns True the run starts
 nothing new, stores what the in-flight pool tasks return, and raises
 :class:`FlowCancelled`.  Finished stages are then in the stage cache, so
@@ -67,6 +70,7 @@ import sys
 import time
 import traceback
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
@@ -174,7 +178,7 @@ class _Task:
     stats: CacheStats = field(default_factory=CacheStats)
     events: Optional[List[dict]] = None
     error: Optional[str] = None
-    exc: Optional[Exception] = None  # tasks run in this process only
+    exc: Optional[Exception] = None  # run in this process, or lost with a pool
 
 
 # ----------------------------------------------------------------------
@@ -584,7 +588,6 @@ def _dispatch(
 
     def start(task: _Task) -> None:
         """Finish a hit or an in-process task; hand a pool task over."""
-        nonlocal pool
         task.state = "running"
         clock = time.perf_counter()  # check: allow(DT002) stage timing report only
         cached = _load(charge, task, cache.get)
@@ -606,9 +609,6 @@ def _dispatch(
             )
             finish(task, artifact, read + elapsed, exc=exc)
             return
-        if pool is None:
-            _warm_tables(list(dict.fromkeys(a for _d, a in cell_tasks)))
-            pool = ProcessPoolExecutor(max_workers=workers)
         _obs.point(
             "sched.dispatch", task=task.tid, stage=task.stage,
             design=task.cell[0], arch=task.cell[1], priority=task.priority,
@@ -618,16 +618,49 @@ def _dispatch(
             for d in task.dependents
         )
         inputs, pickler = _ship(upstream, netlist)
-        future = pool.submit(
+        work = (
             _pool_task, task.stage, task.cell, cell_options[task.cell],
             inputs, linked, _obs.active(),
         )
+        try:
+            future = open_pool().submit(*work)
+        except BrokenProcessPool as broken:
+            abandon(broken)
+            future = open_pool().submit(*work)
         inflight[future] = task.tid, pickler if linked else None
+
+    def open_pool() -> ProcessPoolExecutor:
+        """The pool; a new one (forked after the realization tables are
+        loaded, so its workers inherit them) when there is none."""
+        nonlocal pool
+        if pool is None:
+            _warm_tables(list(dict.fromkeys(a for _d, a in cell_tasks)))
+            pool = ProcessPoolExecutor(max_workers=workers)
+        return pool
+
+    def abandon(broken: BrokenProcessPool) -> None:
+        """A worker died (``os._exit``, a signal, the OOM killer): store
+        what finished before it did, fail every other task that was on
+        the pool, and leave the next pool task to start a fresh one."""
+        nonlocal pool
+        pool.shutdown(wait=True, cancel_futures=True)
+        pool = None
+        for future in list(inflight):
+            if not future.cancelled() and future.exception() is None:
+                collect(future)
+            else:
+                tid, _pickler = inflight.pop(future)
+                finish(tasks[tid], None, 0.0, exc=broken)
 
     def collect(future) -> None:
         tid, pickler = inflight.pop(future)
         task = tasks[tid]
-        blob, elapsed, task.events, error = future.result()
+        try:
+            blob, elapsed, task.events, error = future.result()
+        except BrokenProcessPool as broken:
+            finish(task, None, 0.0, exc=broken)
+            abandon(broken)
+            return
         artifact = None
         if blob is not None and pickler is not None:
             shipped = dict(pickler.memo.copy().values())  # index -> object

@@ -22,7 +22,7 @@ only an accepted move installs them and shifts the moved points within
 their sorted segments, skipping an axis whose coordinate did not change.
 
 The move loop is one C function, ``sa_sweep`` in ``_sweep.c`` (built
-and loaded by :mod:`._kernel`), called once per temperature on the
+and loaded by :mod:`repro._kernel`), called once per temperature on the
 flat arrays :meth:`AnnealingPlacer._start` builds: int32 site, occupant
 and CSR contribution arrays, and float64 sorted segments, costs and
 staged costs.  Python keeps the schedule and the per-temperature
@@ -73,12 +73,13 @@ import itertools
 import random
 import time
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from ..netlist.core import Netlist
 from ..obs import core as _obs
 from ..obs.metrics import RATIO_BUCKETS
-from ._kernel import load as _load_kernel
+from .._kernel import load as _load_kernel
 from .grid import PlacementGrid, Site
 
 #: Moves per temperature = MOVES_PER_CELL * n_cells ** 1.33, capped.
@@ -125,7 +126,7 @@ class SweepState(ctypes.Structure):
     ]
 
 
-_sa_sweep = _load_kernel().sa_sweep
+_sa_sweep = _load_kernel(Path(__file__).with_name("_sweep.c")).sa_sweep
 _sa_sweep.argtypes = [
     ctypes.POINTER(SweepState), ctypes.POINTER(ctypes.c_uint32),
     ctypes.c_int32, ctypes.c_int64, ctypes.c_double, _F64,

@@ -31,9 +31,11 @@ from repro.logic.npn import (
     npn_canonical_with_transform,
 )
 from repro.logic.truthtable import TruthTable
-from repro.place import _kernel
+from repro import _kernel
+from repro.place import sa as sa_module
 from repro.place.grid import grid_for_netlist
 from repro.place.sa import AnnealingPlacer
+from repro.synth import flowmap as flowmap_module
 from repro.synth.realize import (
     _build_table,
     _resolve_cells,
@@ -417,11 +419,23 @@ def _kernel_env():
     return dict(os.environ, PYTHONPATH=src)
 
 
+@pytest.mark.parametrize("source, symbol", [
+    pytest.param(
+        Path(flowmap_module.__file__).with_name("_flowmap.c"),
+        "flowmap_label", id="flowmap",
+    ),
+    pytest.param(
+        Path(sa_module.__file__).with_name("_sweep.c"), "sa_sweep",
+        id="sweep",
+    ),
+])
 class TestKernelLoader:
-    """The compiled move loop is built once per source and loaded safely."""
+    """Each compiled kernel is built once per source and loaded safely."""
 
-    def test_second_load_reuses_the_library(self, tmp_path, monkeypatch):
-        _kernel.load(tmp_path)
+    def test_second_load_reuses_the_library(
+        self, source, symbol, tmp_path, monkeypatch
+    ):
+        _kernel.load(source, tmp_path)
         built = sorted(tmp_path.iterdir())
         assert [path.suffix for path in built] == [".so"]
 
@@ -429,10 +443,10 @@ class TestKernelLoader:
             raise AssertionError("the compiler ran again")
 
         monkeypatch.setattr(_kernel.subprocess, "run", no_compiler)
-        assert _kernel.load(tmp_path).sa_sweep
+        assert getattr(_kernel.load(source, tmp_path), symbol)
         assert sorted(tmp_path.iterdir()) == built
 
-    def test_concurrent_builds_both_load(self, tmp_path):
+    def test_concurrent_builds_both_load(self, source, symbol, tmp_path):
         """Two processes building into one empty directory at once."""
         cache = tmp_path / "cache"
         cache.mkdir()
@@ -440,15 +454,16 @@ class TestKernelLoader:
         child = (
             "import sys, time\n"
             "from pathlib import Path\n"
-            "from repro.place import _kernel\n"
-            "Path(sys.argv[2]).touch()\n"
-            "while not Path(sys.argv[3]).exists():\n"
+            "from repro import _kernel\n"
+            "Path(sys.argv[3]).touch()\n"
+            "while not Path(sys.argv[4]).exists():\n"
             "    time.sleep(0.005)\n"
-            "print(_kernel.load(Path(sys.argv[1])).sa_sweep.__name__)\n"
+            "lib = _kernel.load(Path(sys.argv[1]), Path(sys.argv[2]))\n"
+            f"print(lib.{symbol}.__name__)\n"
         )
         procs = [
             subprocess.Popen(
-                [sys.executable, "-c", child, str(cache),
+                [sys.executable, "-c", child, str(source), str(cache),
                  str(tmp_path / f"ready{n}"), str(go)],
                 env=_kernel_env(), stdout=subprocess.PIPE,
             )
@@ -462,13 +477,16 @@ class TestKernelLoader:
         for proc in procs:
             out, _ = proc.communicate(timeout=60)
             assert proc.returncode == 0
-            assert b"sa_sweep" in out
+            assert symbol.encode() in out
         # One library, no temporaries left behind, and it loads.
         (library,) = cache.iterdir()
+        assert library.name.startswith(source.stem + ".")
         assert library.suffix == ".so"
-        assert ctypes.CDLL(str(library)).sa_sweep
+        assert getattr(ctypes.CDLL(str(library)), symbol)
 
-    def test_read_only_cache_builds_privately(self, tmp_path, monkeypatch):
+    def test_read_only_cache_builds_privately(
+        self, source, symbol, tmp_path, monkeypatch
+    ):
         cache = tmp_path / "__pycache__"
         cache.mkdir()
         cache.chmod(0o555)
@@ -481,18 +499,20 @@ class TestKernelLoader:
                 and not (Path(path) == cache and mode & os.W_OK),
             )
         try:
-            lib = _kernel.load(cache)
+            lib = _kernel.load(source, cache)
         finally:
             cache.chmod(0o755)
-        assert lib.sa_sweep
+        assert getattr(lib, symbol)
         assert not any(cache.iterdir())
         # Built in a private temporary directory, removed once loaded.
         assert not Path(lib._name).exists()
 
-    def test_missing_compiler_is_an_import_error(self, tmp_path, monkeypatch):
+    def test_missing_compiler_is_an_import_error(
+        self, source, symbol, tmp_path, monkeypatch
+    ):
         monkeypatch.setenv("PATH", str(tmp_path / "no-bin"))
         with pytest.raises(ImportError, match="`cc`"):
-            _kernel.load(tmp_path)
+            _kernel.load(source, tmp_path)
         assert not any(tmp_path.iterdir())
 
 

@@ -19,7 +19,9 @@ Five contracts:
   and leaves every other cell's finished result intact; ``cancel`` stops
   a run before its next stage.  ``TestFailureIsolation`` and
   ``TestInterruption`` run at ``jobs=2``; their ``InProcess`` subclasses
-  rerun every test at ``jobs=1``.
+  rerun every test at ``jobs=1``.  A pool worker that dies fails only
+  the tasks that were on its pool, as a ``StageFailure``, and the next
+  pool task starts a fresh pool (``TestKilledWorker``, ``jobs=2``).
 * **Collector scope** — loaded artifacts are frozen out of the cyclic
   collector while their run lasts and never after it, however it ends.
 """
@@ -27,6 +29,7 @@ Five contracts:
 import gc
 import os
 import shutil
+import time
 from dataclasses import replace
 
 import pytest
@@ -391,6 +394,120 @@ class TestFailureIsolation:
 
 class TestFailureIsolationInProcess(TestFailureIsolation):
     jobs = 1
+
+
+def _outcome(run):
+    """What a cell's run produced, without its timings."""
+    return (
+        list(run.physical.placement.sites.items()),
+        [
+            (flow.die_area, flow.average_slack, flow.worst_slack,
+             flow.plbs_used, flow.packing_displacement)
+            for flow in (run.flow_a, run.flow_b)
+        ],
+    )
+
+
+class TestKilledWorker:
+    """A pool worker that dies fails the tasks it took down with it as a
+    ``StageFailure``, and every other cell still completes."""
+
+    def test_killed_worker_fails_only_its_cell(self, tmp_path, monkeypatch):
+        from repro.flow import flow as flow_mod
+
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "clean"))
+        clean = run_cells(CELLS[:1], SCALE, FAST, jobs=2)[CELLS[0]]
+
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "faulty"))
+        release = tmp_path / "release"
+        real = flow_mod._pack_stage
+        parent = os.getpid()
+
+        def die(synthesis, physical, options):
+            # Forked workers inherit the patch.  The LUT cell's packing
+            # worker exits once every other task has been stored, so no
+            # task of the granular cell is on the pool when it dies.
+            if synthesis.arch.name == "lut" and os.getpid() != parent:
+                deadline = time.monotonic() + 60
+                while not release.exists() and time.monotonic() < deadline:
+                    time.sleep(0.01)
+                os._exit(9)
+            return real(synthesis, physical, options)
+
+        monkeypatch.setattr(flow_mod, "_pack_stage", die)
+        stored = []
+
+        def progress(stage, cache_hit, seconds):
+            stored.append(stage)
+            if len(stored) == 2 * len(STAGES) - 2:
+                release.touch()
+
+        with pytest.raises(StageFailure) as excinfo:
+            run_stage_graph(CELLS, SCALE, FAST, jobs=2, progress=progress)
+        failure = excinfo.value
+        assert failure.cell == ("alu", "lut")
+        assert failure.stage == "packing"
+        assert "BrokenProcessPool" in failure.traceback_text
+        assert set(failure.failed) == {
+            (("alu", "lut"), "packing"),
+            (("alu", "lut"), "route_b"),
+        }
+        assert set(failure.completed) == {("alu", "granular")}
+        survivor = failure.completed[("alu", "granular")]
+        assert _outcome(survivor) == _outcome(clean)
+
+    def test_broken_pool_is_replaced(self, tmp_path, monkeypatch):
+        """A pool found broken when a task is handed over fails the task
+        it held; the handed-over task and the rest of its cell run on a
+        fresh pool."""
+        from repro.flow import scheduler
+
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "clean"))
+        clean = run_cells(CELLS, SCALE, FAST, jobs=2)
+
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "faulty"))
+        # Workers fork with a copy of ``held``: the first pool's hold
+        # their synthesis task until they die, the fresh pool's do not.
+        held = {"synthesis": True}
+        real = scheduler.compute_stage
+
+        def hold(stage, options, artifacts, netlist=None):
+            deadline = time.monotonic() + 60
+            while held.get(stage) and time.monotonic() < deadline:
+                time.sleep(0.01)
+            return real(stage, options, artifacts, netlist=netlist)
+
+        pools = []
+
+        class BreakOnSecondSubmit(scheduler.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                pools.append(self)
+                self.cells = []
+
+            def submit(self, fn, *args, **kwargs):
+                self.cells.append(args[1])
+                if len(pools) == 1 and len(self.cells) == 2:
+                    # A worker dies while the first task is held.
+                    killer = super().submit(os._exit, 9)
+                    assert killer.exception(timeout=60) is not None
+                    held.clear()
+                return super().submit(fn, *args, **kwargs)
+
+        monkeypatch.setattr(scheduler, "compute_stage", hold)
+        monkeypatch.setattr(scheduler, "ProcessPoolExecutor",
+                            BreakOnSecondSubmit)
+        with pytest.raises(StageFailure) as excinfo:
+            run_stage_graph(CELLS, SCALE, FAST, jobs=2)
+        failure = excinfo.value
+        lost, survived = pools[0].cells
+        assert len(pools) == 2 and pools[1].cells[0] == survived
+        assert failure.cell == lost and failure.stage == "synthesis"
+        assert set(failure.failed) == {(lost, stage) for stage in STAGES}
+        assert set(failure.completed) == {survived}
+        assert _outcome(failure.completed[survived]) == _outcome(
+            clean[survived]
+        )
 
 
 class TestStageModeJournal:

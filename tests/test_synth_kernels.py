@@ -27,6 +27,7 @@ from repro.flow.flow import architecture_of, synthesize
 from repro.flow.options import FlowOptions
 from repro.synth.aig import AIG, lit_inverted, lit_node
 from repro.synth.compaction import _instance_graph
+from repro.synth import flowmap as flowmap_module
 from repro.synth.flowmap import FlowMap, FlowMapResult
 from repro.synth.from_netlist import extract_core
 from repro.synth.optimize import balance, cleanup, optimize, rewrite_cuts
@@ -368,6 +369,15 @@ class TestBalanceLevelMemo:
 # FlowMap
 # ----------------------------------------------------------------------
 
+def design_instance_graph(design_cores, design: str, arch: str):
+    """The FlowMap input compaction builds for one optimized, mapped
+    design core."""
+    core = design_cores[design]
+    core = replace(core, aig=optimize(core.aig))
+    mapped = map_core(core, arch, architecture_of(arch).library)
+    return _instance_graph(mapped)
+
+
 def assert_same_flowmap(fanins, k: int, cone_cap: int) -> None:
     fast = FlowMap(fanins, k=k, cone_cap=cone_cap).compute()
     ref = ReferenceFlowMap(fanins, k=k, cone_cap=cone_cap).compute()
@@ -397,12 +407,64 @@ class TestFlowMapOracle:
     @pytest.mark.parametrize("arch", ARCHES)
     @pytest.mark.parametrize("design", DESIGNS)
     def test_design_instance_graphs(self, design, arch, design_cores):
-        core = design_cores[design]
-        core = replace(core, aig=optimize(core.aig))
-        mapped = map_core(core, arch, architecture_of(arch).library)
-        fanins = _instance_graph(mapped)
+        fanins = design_instance_graph(design_cores, design, arch)
         assert_same_flowmap(fanins, 3, 3000)
         assert_same_flowmap(fanins, 3, 40)
+
+    def test_empty_map(self):
+        assert_same_flowmap({}, 3, 3000)
+        result = FlowMap({}).compute()
+        assert result.labels == {} and result.cuts == {}
+
+    def test_sources_only(self):
+        fanins = {"a": (), "b": ()}
+        assert_same_flowmap(fanins, 3, 3000)
+        result = FlowMap(fanins).compute()
+        assert result.labels == {"a": 0, "b": 0}
+        assert result.cuts == {"a": {"a"}, "b": {"b"}}
+
+    def test_truncated_sink_side_node(self):
+        # With cone_cap 3 the cone of t is [t, y, s2]: t is on the sink
+        # side and its fanin x lies outside, so no height-0 cut is
+        # claimed and t gets l_max + 1, although {s0, s1, s2} is one.
+        fanins = {"x": ("s0", "s1"), "y": ("s1", "s2"), "t": ("x", "y")}
+        assert_same_flowmap(fanins, 3, 3)
+        assert FlowMap(fanins, k=3).compute().labels["t"] == 1
+        capped = FlowMap(fanins, k=3, cone_cap=3).compute()
+        assert capped.labels["t"] == 2
+        assert capped.cuts["t"] == {"x", "y"}
+
+    def test_cut_order_is_pinned(self, design_cores, monkeypatch):
+        """The cut of every node lists its nodes in the order they first
+        carried flow, as the pure-Python search found them: the order
+        each frozenset is built in."""
+        monkeypatch.setattr(flowmap_module, "frozenset", tuple, raising=False)
+
+        def digest(runs) -> str:
+            sha = hashlib.sha256()
+            for fanins, k, cone_cap in runs:
+                result = FlowMap(fanins, k=k, cone_cap=cone_cap).compute()
+                sha.update(repr((
+                    list(result.labels.items()), list(result.cuts.items()),
+                )).encode())
+            return sha.hexdigest()
+
+        random_runs = [
+            (random_dag(seed), k, cone_cap)
+            for seed in range(30) for k in (1, 2, 3, 4)
+            for cone_cap in (2, 5, 12, 3000)
+        ]
+        design_runs = [
+            (design_instance_graph(design_cores, design, arch), 3, cone_cap)
+            for design in DESIGNS for arch in ARCHES
+            for cone_cap in (3000, 40)
+        ]
+        assert digest(random_runs) == (
+            "1e57eed3c35eef8ec76f27962dc0d473fb156f8bf15ef718938ec42533f68cbf"
+        )
+        assert digest(design_runs) == (
+            "d89972f459c5ccdebf3a38ee71f9f8d697473f4500b8c9d05bb7be0abd11da19"
+        )
 
 
 # ----------------------------------------------------------------------
