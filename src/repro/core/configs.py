@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, FrozenSet, Mapping, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, Mapping, Optional, Sequence, Set, Tuple
 
 from ..cells.celltypes import (
     make_lut3,
@@ -63,16 +63,38 @@ class LogicConfig:
 
 def _mux_over(
     leg_sources: Sequence[TruthTable], other_sources: Sequence[TruthTable]
-) -> FrozenSet[TruthTable]:
-    """MUX(select-literal; leg, other) over 3-input tables, both orders."""
-    selects = [t for t in literal_sources_3in() if not t.is_constant()]
-    found = set()
-    for s in selects:
-        for leg in leg_sources:
-            for other in other_sources:
-                found.add(TruthTable.mux(s, leg, other))
-                found.add(TruthTable.mux(s, other, leg))
-    return frozenset(found)
+) -> Dict[int, None]:
+    """MUX(select-literal; leg, other) over 3-input tables, both orders.
+
+    Works on the 8-bit row masks and returns each distinct result once,
+    in order of first appearance (see :func:`_table_set`).
+    """
+    legs = [t.mask for t in leg_sources]
+    others = [t.mask for t in other_sources]
+    found: Dict[int, None] = {}
+    for s in _select_masks():
+        ns = 0xFF ^ s
+        for leg in legs:
+            for other in others:
+                found[(ns & leg) | (s & other)] = None
+                found[(ns & other) | (s & leg)] = None
+    return found
+
+
+def _select_masks() -> Tuple[int, ...]:
+    """Masks of the non-constant literals, the MUX select candidates."""
+    return tuple(t.mask for t in literal_sources_3in() if not t.is_constant())
+
+
+def _table_set(masks: Iterable[int]) -> Set[TruthTable]:
+    """The tables of ``masks``, added one by one in order.
+
+    Adding the distinct functions in the order ``TruthTable.mux`` first
+    produced them builds the same hash table, so the sets iterate in the
+    same order: architecture reprs, and the cache keys built from them,
+    depend on it.
+    """
+    return set(TruthTable(3, mask) for mask in masks)
 
 
 @lru_cache(maxsize=None)
@@ -92,7 +114,7 @@ def ndmx_functions() -> FrozenSet[TruthTable]:
     """Config 3 — a 2:1 MUX with one data leg from an ND2WI gate."""
     literals = literal_sources_3in()
     nd_legs = tuple(nd2wi_sources_3in())
-    return _mux_over(nd_legs, literals)
+    return frozenset(_table_set(_mux_over(nd_legs, literals)))
 
 
 @lru_cache(maxsize=None)
@@ -106,14 +128,15 @@ def xoamx_functions() -> FrozenSet[TruthTable]:
     """
     literals = literal_sources_3in()
     mux_legs = tuple(mux2_implementable_3in())
-    plain = _mux_over(mux_legs, literals)
-    selects = [t for t in literal_sources_3in() if not t.is_constant()]
-    both_legs = set()
-    for s in selects:
+    plain = frozenset(_table_set(_mux_over(mux_legs, literals)))
+    both_legs: Dict[int, None] = {}
+    for s in _select_masks():
+        ns = 0xFF ^ s
         for m in mux_legs:
-            both_legs.add(TruthTable.mux(s, m, ~m))
-            both_legs.add(TruthTable.mux(s, ~m, m))
-    return frozenset(plain | both_legs)
+            inverse = 0xFF ^ m.mask
+            both_legs[(ns & m.mask) | (s & inverse)] = None
+            both_legs[(ns & inverse) | (s & m.mask)] = None
+    return frozenset(plain | _table_set(both_legs))
 
 
 @lru_cache(maxsize=None)
@@ -121,7 +144,7 @@ def xoandmx_functions() -> FrozenSet[TruthTable]:
     """Config 5 — a 2:1 MUX fed by a 2:1 MUX and an ND3WI gate."""
     mux_legs = tuple(mux2_implementable_3in())
     nd3_legs = tuple(nd3wi_implementable_3in())
-    return _mux_over(mux_legs, nd3_legs)
+    return frozenset(_table_set(_mux_over(mux_legs, nd3_legs)))
 
 
 @lru_cache(maxsize=None)

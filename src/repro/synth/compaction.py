@@ -24,14 +24,15 @@ Implementation
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from ..cells.library import Library
-from ..logic.truthtable import TruthTable
+from ..logic.truthtable import TruthTable, _var_mask
 from ..netlist.core import Netlist
 from ..netlist.stats import total_area
+from ..obs import core as _obs
 from .flowmap import FlowMap
-from .realize import Realization, compaction_table, lookup
+from .realize import Realization, compaction_table, memoized_lookup
 
 #: Pseudo-node prefix for source nets (primary inputs, DFF outputs).
 _SRC = "$src$"
@@ -77,132 +78,190 @@ def _node_net(netlist: Netlist, node: str) -> str:
     return netlist.instances[node].output_net
 
 
-def _cluster_function(
-    netlist: Netlist, root: str, leaf_nets: Sequence[str]
-) -> Optional[TruthTable]:
-    """Truth table of instance ``root``'s output over ``leaf_nets``."""
-    n = len(leaf_nets)
-    index = {net: i for i, net in enumerate(leaf_nets)}
-    cache: Dict[str, TruthTable] = {}
+class _Driver(NamedTuple):
+    """A combinational instance as the candidate walks see it."""
 
-    def table_of(net: str) -> Optional[TruthTable]:
-        if net in index:
-            return TruthTable.input_var(n, index[net])
-        if net in cache:
-            return cache[net]
-        driver = netlist.driver_of(net)
-        if driver is None or driver.is_sequential:
-            return None
-        assert driver.config is not None
-        sub_tables = []
-        for input_net in driver.input_nets():
-            sub = table_of(input_net)
-            if sub is None:
+    name: str
+    inputs: Tuple[str, ...]  # input nets in pin order, repeats kept
+    config: int  # truth-table mask of the configuration over ``inputs``
+
+
+class _Cones:
+    """Candidate-cone walks over one compaction pass's netlist.
+
+    ``drivers`` maps each combinational output net to its driver.
+    ``visited`` counts the driver nodes the walks entered; the few
+    hundred distinct configuration compositions a pass meets are
+    memoized.
+    """
+
+    def __init__(self, drivers: Dict[str, _Driver]):
+        self.drivers = drivers
+        self.visited = 0
+        self.composed: Dict[Tuple[int, ...], int] = {}
+
+    def walk(
+        self, root_net: str, leaf_nets: Sequence[str]
+    ) -> Optional[Tuple[Dict[str, str], int]]:
+        """Interior and function of the cone from ``leaf_nets`` to ``root_net``.
+
+        One walk down from the root's driver composes each driver's
+        configuration over its fanins' masks, leaf ``i`` being the
+        projection on input ``i``.  Returns the instances strictly
+        between the cut and the root (root excluded), each with its
+        output net, and the root's truth-table mask over ``leaf_nets``;
+        or ``None`` when the cone escapes the cut through a primary
+        input or register output.
+        """
+        n = len(leaf_nets)
+        full = (1 << (1 << n)) - 1
+        masks = {net: _var_mask(n, i) for i, net in enumerate(leaf_nets)}
+        drivers, composed = self.drivers, self.composed
+        entered: Dict[str, str] = {}
+
+        def mask_of(net: str) -> Optional[int]:
+            mask = masks.get(net)
+            if mask is not None:
+                return mask
+            driver = drivers.get(net)
+            if driver is None:
                 return None
-            sub_tables.append(sub)
-        result = driver.config.compose(sub_tables)
-        cache[net] = result
-        return result
+            name, inputs, config = driver
+            entered[name] = net
+            subs = []
+            for input_net in inputs:
+                sub = mask_of(input_net)
+                if sub is None:
+                    return None
+                subs.append(sub)
+            key = (config, full, *subs)
+            mask = composed.get(key)
+            if mask is None:
+                mask = composed[key] = _compose(config, subs, full)
+            masks[net] = mask
+            return mask
 
-    return table_of(netlist.instances[root].output_net)
+        mask = mask_of(root_net)
+        self.visited += len(entered)
+        if mask is None:
+            return None
+        del entered[drivers[root_net].name]
+        return entered, mask
+
+
+def _compose(config: int, subs: Sequence[int], full: int) -> int:
+    """Mask of truth table ``config`` with input ``i`` replaced by ``subs[i]``."""
+    # products[j]: rows where every input i takes bit i of j
+    products = [full]
+    for sub in subs:
+        inverse = full ^ sub
+        products = [p & inverse for p in products] + [p & sub for p in products]
+    mask = 0
+    for row, product in enumerate(products):
+        if config >> row & 1:
+            mask |= product
+    return mask
 
 
 def _exclusive_members(
     netlist: Netlist,
     root: str,
-    interior: Set[str],
+    interior: Dict[str, str],
     outputs: Set[str],
     consumed: Set[str],
 ) -> Set[str]:
     """Interior instances replaceable without breaking external sharing.
 
-    An interior instance is exclusive when every sink of its output net is
+    ``interior`` maps each interior instance to its output net.  An
+    interior instance is exclusive when every sink of its output net is
     inside the supernode and its net is not an external contract (primary
     output or register data pin).  Exclusivity is computed transitively,
     output-side first: an interior node whose only outside-sink is another
     non-exclusive interior node remains non-exclusive.
     """
     exclusive = {
-        name
-        for name in interior
-        if name not in consumed
-        and netlist.instances[name].output_net not in outputs
+        name: net
+        for name, net in interior.items()
+        if name not in consumed and net not in outputs
     }
     # Demote to a fixed point: a member stays exclusive only while every
     # sink of its output either is the (replaced) root, another exclusive
     # member, or an instance already consumed by an earlier supernode.
+    nets = netlist.nets
     changed = True
     while changed:
         changed = False
-        for name in list(exclusive):
-            out_net = netlist.instances[name].output_net
-            for sink, _pin in netlist.nets[out_net].sinks:
+        for name, net in list(exclusive.items()):
+            for sink, _pin in nets[net].sinks:
                 if sink != root and sink not in exclusive and sink not in consumed:
-                    exclusive.discard(name)
+                    del exclusive[name]
                     changed = True
                     break
-    return exclusive
+    return set(exclusive)
 
 
 def _enumerate_net_cuts(
-    netlist: Netlist, k: int = 3, cap: int = 16
+    drivers: Dict[str, _Driver], k: int = 3, cap: int = 16
 ) -> Dict[str, List[Tuple[str, ...]]]:
-    """K-feasible cuts (as net tuples) per combinational output net."""
+    """K-feasible cuts (as net tuples) per combinational output net.
+
+    ``drivers`` holds the combinational instances in topological order.
+    Each cut carries a bitmask over the nets (one bit per net, given
+    when the net is first used) next to its tuple, so unions, sizes and
+    dominance tests are integer operations; the tuples, their order and
+    the cap are those of the plain set-based merge.
+    """
+    # Every union is a sorted tuple, so a mask names exactly one tuple.
+    tuple_of: Dict[int, Tuple[str, ...]] = {}
+    # Per net: (tuple, mask) of each kept cut, then the trivial cut.  A
+    # source net has only its trivial cut; it gets its bit on first use.
+    options_of: Dict[str, List[Tuple[Tuple[str, ...], int]]] = {}
     cuts: Dict[str, List[Tuple[str, ...]]] = {}
+    limit = cap * 4
 
-    def cuts_of_net(net: str) -> List[Tuple[str, ...]]:
-        driver = netlist.driver_of(net)
-        if driver is None or driver.is_sequential:
-            return [(net,)]
-        return cuts.get(net, [(net,)])
+    def trivial(net: str) -> Tuple[Tuple[str, ...], int]:
+        mask = 1 << len(options_of)  # each net's, just before its entry
+        tuple_of[mask] = (net,)
+        return (net,), mask
 
-    for inst in netlist.topological_order():
-        input_nets = tuple(dict.fromkeys(inst.input_nets()))
-        merged: List[Tuple[str, ...]] = [input_nets] if len(input_nets) <= k else []
-        partial: List[Tuple[str, ...]] = [()]
-        for net in input_nets:
-            options = cuts_of_net(net) + [(net,)]
-            nxt: List[Tuple[str, ...]] = []
-            for base in partial:
-                for option in options:
-                    union = tuple(sorted(set(base) | set(option)))
-                    if len(union) <= k:
-                        nxt.append(union)
-            partial = list(dict.fromkeys(nxt))[: cap * 4]
-        merged.extend(partial)
+    for net, driver in drivers.items():
+        input_nets = tuple(dict.fromkeys(driver.inputs))
+        input_mask = 0
+        partial: Dict[int, Tuple[str, ...]] = {0: ()}
+        for in_net in input_nets:
+            options = options_of.get(in_net)
+            if options is None:
+                options = options_of[in_net] = [trivial(in_net)]
+            input_mask |= options[-1][1]
+            nxt: Dict[int, Tuple[str, ...]] = {}
+            for base_mask, base in partial.items():
+                for option, option_mask in options:
+                    union = base_mask | option_mask
+                    if union in nxt or union.bit_count() > k:
+                        continue
+                    found = tuple_of.get(union)
+                    if found is None:
+                        found = tuple_of[union] = tuple(sorted(set(base).union(option)))
+                    nxt[union] = found
+            partial = nxt if len(nxt) <= limit else dict(list(nxt.items())[:limit])
+        merged = {union: mask for mask, union in partial.items() if mask}
+        if input_nets and len(input_nets) <= k:
+            merged[input_nets] = input_mask
         # Dominance pruning and cap.
-        unique = sorted(set(m for m in merged if m), key=lambda c: (len(c), c))
-        kept: List[Tuple[str, ...]] = []
-        for candidate in unique:
-            cand_set = set(candidate)
-            if any(set(existing) <= cand_set for existing in kept):
-                continue
-            kept.append(candidate)
-            if len(kept) >= cap:
-                break
-        cuts[inst.output_net] = kept
+        kept: List[Tuple[Tuple[str, ...], int]] = []
+        for candidate in sorted(sorted(merged), key=len):
+            cand_mask = merged[candidate]
+            for _cut, mask in kept:
+                if mask & cand_mask == mask:
+                    break
+            else:
+                kept.append((candidate, cand_mask))
+                if len(kept) >= cap:
+                    break
+        cuts[net] = [cut for cut, _mask in kept]
+        kept.append(trivial(net))
+        options_of[net] = kept
     return cuts
-
-
-def _cluster_interior(
-    netlist: Netlist, root: str, leaf_nets: Sequence[str]
-) -> Optional[Set[str]]:
-    """Instances strictly between the cut and ``root`` (root excluded)."""
-    leaves = set(leaf_nets)
-    interior: Set[str] = set()
-    stack = list(netlist.instances[root].input_nets())
-    while stack:
-        net = stack.pop()
-        if net in leaves:
-            continue
-        driver = netlist.driver_of(net)
-        if driver is None or driver.is_sequential:
-            return None  # cone escapes the cut
-        if driver.name in interior:
-            continue
-        interior.add(driver.name)
-        stack.extend(driver.input_nets())
-    return interior
 
 
 def compact(
@@ -224,7 +283,13 @@ def compact(
 
     outputs = set(netlist.outputs)
     order = netlist.topological_order()
-    net_cuts = _enumerate_net_cuts(netlist, k=k)
+    drivers = {
+        inst.output_net: _Driver(inst.name, inst.input_nets(), inst.config.mask)
+        for inst in order
+    }
+    cones = _Cones(drivers)
+    net_cuts = _enumerate_net_cuts(drivers, k=k)
+    find = memoized_lookup(table)
     accepted: Dict[str, Tuple[Tuple[str, ...], Realization]] = {}
     consumed: Set[str] = set()
     histogram: Dict[str, int] = {}
@@ -232,25 +297,24 @@ def compact(
     for inst in reversed(order):
         if inst.name in consumed:
             continue
+        root_net = inst.output_net
         candidates: List[Tuple[str, ...]] = []
         cut = flow_result.cuts.get(inst.name)
         if cut is not None and cut != frozenset({inst.name}):
             candidates.append(
                 tuple(sorted(_node_net(netlist, node) for node in cut))
             )
-        for enumerated in net_cuts.get(inst.output_net, ()):  # pragma: no branch
-            if enumerated not in candidates and set(enumerated) != {inst.output_net}:
+        for enumerated in net_cuts.get(root_net, ()):  # pragma: no branch
+            if enumerated not in candidates and set(enumerated) != {root_net}:
                 candidates.append(enumerated)
 
         best: Optional[Tuple[float, Tuple[str, ...], Realization]] = None
         for cut_nets in candidates:
-            interior = _cluster_interior(netlist, inst.name, cut_nets)
-            if interior is None:
+            cone = cones.walk(root_net, cut_nets)
+            if cone is None:
                 continue
-            function = _cluster_function(netlist, inst.name, cut_nets)
-            if function is None:
-                continue
-            realization = lookup(table, function)
+            interior, mask = cone
+            realization = find(len(cut_nets), mask)
             if realization is None:
                 continue
             exclusive = _exclusive_members(
@@ -270,6 +334,7 @@ def compact(
         accepted[inst.name] = (cut_nets, realization)
         consumed |= exclusive
         histogram[realization.structure] = histogram.get(realization.structure, 0) + 1
+    _obs.counter("synth.compact.cone_nodes", cones.visited)
 
     if not accepted:
         return netlist, CompactionReport(

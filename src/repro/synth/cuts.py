@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Sequence, Tuple
 
-from ..logic.truthtable import TruthTable
+from ..logic.truthtable import TruthTable, _var_mask
 from ..obs import core as _obs
 from .aig import AIG, lit_inverted, lit_node
 
@@ -95,31 +95,35 @@ def enumerate_cuts(
 def cut_function(aig: AIG, node: int, cut: Cut) -> TruthTable:
     """Truth table of ``node`` over the cut leaves (leaf order = ``cut``).
 
-    Constant leaves (node 0) are evaluated as false.
+    Every leaf is a projection, even the constant node 0; only node 0
+    reached inside the cone evaluates as false.  Both callers
+    (``optimize.rewrite_cuts`` and ``techmap.map_core``) skip cuts that
+    contain the constant leaf.  AND nodes are evaluated on integer row
+    masks; one table is built, for ``node``.
     """
     n = len(cut)
-    leaf_index = {leaf: i for i, leaf in enumerate(cut)}
-    cache: Dict[int, TruthTable] = {}
+    full = (1 << (1 << n)) - 1
+    masks = {leaf: _var_mask(n, i) for i, leaf in enumerate(cut)}
+    fanin0, fanin1 = aig.fanin0, aig.fanin1
 
-    def table_of(current: int) -> TruthTable:
-        if current in cache:
-            return cache[current]
-        if current in leaf_index:
-            result = TruthTable.input_var(n, leaf_index[current])
-        elif current == 0:
-            result = TruthTable.constant(n, False)
+    def mask_of(current: int) -> int:
+        mask = masks.get(current)
+        if mask is not None:
+            return mask
+        if current == 0:
+            mask = 0
         elif aig.is_input(current):
             raise ValueError(f"input node {current} escapes cut {cut} of {node}")
         else:
-            f0, f1 = aig.fanins(current)
-            t0 = table_of(lit_node(f0))
+            f0, f1 = fanin0[current], fanin1[current]
+            mask0 = mask_of(lit_node(f0))
             if lit_inverted(f0):
-                t0 = ~t0
-            t1 = table_of(lit_node(f1))
+                mask0 ^= full
+            mask1 = mask_of(lit_node(f1))
             if lit_inverted(f1):
-                t1 = ~t1
-            result = t0 & t1
-        cache[current] = result
-        return result
+                mask1 ^= full
+            mask = mask0 & mask1
+        masks[current] = mask
+        return mask
 
-    return table_of(node)
+    return TruthTable(n, mask_of(node))

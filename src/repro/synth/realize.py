@@ -25,7 +25,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..cells.celltypes import (
     make_buf,
@@ -628,3 +628,20 @@ def lookup(
         levels=found.levels,
         structure=found.structure,
     )
+
+
+def memoized_lookup(
+    table: Dict[Tuple[int, int], Realization]
+) -> Callable[[int, int], Optional[Realization]]:
+    """:func:`lookup` by ``(n_inputs, mask)``, memoized for as long as
+    the caller keeps the returned function (one mapping or compaction
+    pass)."""
+    memo: Dict[Tuple[int, int], Optional[Realization]] = {}
+
+    def find(n_inputs: int, mask: int) -> Optional[Realization]:
+        key = (n_inputs, mask)
+        if key not in memo:
+            memo[key] = lookup(table, TruthTable(n_inputs, mask))
+        return memo[key]
+
+    return find

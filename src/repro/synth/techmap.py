@@ -25,7 +25,7 @@ from ..netlist.core import Netlist
 from .aig import lit_inverted, lit_node
 from .cuts import Cut, cut_function, enumerate_cuts, fanout_counts
 from .from_netlist import CombCore, DFF_OUTPUT_PREFIX
-from .realize import Realization, baseline_table, compaction_table, lookup
+from .realize import Realization, baseline_table, compaction_table, memoized_lookup
 
 
 @dataclass
@@ -81,6 +81,7 @@ def map_core(
         k = 3
     cuts = enumerate_cuts(aig, k=k, tree_mode=not use_compaction_structures)
     fanouts = fanout_counts(aig)
+    find = memoized_lookup(table)
 
     choices: Dict[int, _Choice] = {}
     for node in aig.and_nodes():
@@ -91,7 +92,7 @@ def map_core(
             if 0 in cut:
                 continue  # constant leaves are folded by construction
             function = cut_function(aig, node, cut)
-            realization = lookup(table, function)
+            realization = find(function.n_inputs, function.mask)
             if realization is None:
                 continue
             flow = realization.area

@@ -2,11 +2,17 @@
 
 ``balance`` levels each node of the AIG it builds once, through a memo;
 ``FlowMap`` runs its max-flow on an implicit node-split network over
-flat arrays.  Both must give exactly what the straightforward versions
-below give: ``reference_balance`` re-walks the fanin cone of every
-leaf it sorts, and ``ReferenceFlowMap`` builds a tuple-keyed
-dict-of-dicts flow network for every node.  The pinned digests catch
-any kernel change that would move Table 1/2.
+flat arrays; compaction's candidate walks, ``cut_function`` and the
+granular configuration sets compute truth tables as integer masks.
+All must give exactly what the straightforward versions below give:
+``reference_balance`` re-walks the fanin cone of every leaf it sorts,
+``ReferenceFlowMap`` builds a tuple-keyed dict-of-dicts flow network
+for every node, ``reference_cluster`` walks each candidate cone twice
+and composes ``TruthTable`` objects, ``reference_net_cuts`` merges
+compaction's cuts as Python sets, ``reference_cut_function`` builds a
+``TruthTable`` per AIG node and ``reference_mux_over`` calls
+``TruthTable.mux``.  The pinned digests catch any kernel change that
+would move Table 1/2.
 """
 
 from __future__ import annotations
@@ -15,9 +21,9 @@ import hashlib
 import importlib
 import random
 import sys
-from collections import deque
+from collections import Counter, deque
 from dataclasses import replace
-from typing import Dict, List, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 import pytest
 
@@ -25,11 +31,22 @@ from repro.flow.cache import canonical_netlist
 from repro.flow.experiments import ARCHES, DESIGNS, build_design
 from repro.flow.flow import architecture_of, synthesize
 from repro.flow.options import FlowOptions
+from repro.core import configs
+from repro.core.functions3 import (
+    literal_sources_3in,
+    mux2_implementable_3in,
+    nd2wi_sources_3in,
+    nd3wi_implementable_3in,
+)
+from repro.logic.truthtable import TruthTable
+from repro.netlist.core import Netlist
+from repro.synth import compaction
 from repro.synth.aig import AIG, lit_inverted, lit_node
-from repro.synth.compaction import _instance_graph
+from repro.synth.compaction import _instance_graph, compact_to_fixpoint
 from repro.synth import flowmap as flowmap_module
+from repro.synth.cuts import cut_function, enumerate_cuts
 from repro.synth.flowmap import FlowMap, FlowMapResult
-from repro.synth.from_netlist import extract_core
+from repro.synth.from_netlist import CombCore, extract_core
 from repro.synth.optimize import balance, cleanup, optimize, rewrite_cuts
 from repro.synth.techmap import map_core
 
@@ -232,6 +249,137 @@ class ReferenceFlowMap(FlowMap):
         if not cut or len(cut) > self.k:
             return None
         return frozenset(cut)
+
+
+def reference_cluster(
+    netlist: Netlist, root: str, leaf_nets: Sequence[str]
+) -> Optional[Tuple[Set[str], TruthTable]]:
+    """Interior and function of a candidate cone by two walks: the
+    interior by a DFS from the root's inputs, then the function by
+    composing ``TruthTable`` configs.  Each returns ``None`` on an
+    escaping cone; the two must agree on which cones escape."""
+    leaves = set(leaf_nets)
+    interior: Optional[Set[str]] = set()
+    stack = list(netlist.instances[root].input_nets())
+    while stack:
+        net = stack.pop()
+        if net in leaves:
+            continue
+        driver = netlist.driver_of(net)
+        if driver is None or driver.is_sequential:
+            interior = None
+            break
+        if driver.name in interior:
+            continue
+        interior.add(driver.name)
+        stack.extend(driver.input_nets())
+
+    n = len(leaf_nets)
+    index = {net: i for i, net in enumerate(leaf_nets)}
+    cache: Dict[str, TruthTable] = {}
+
+    def table_of(net: str) -> Optional[TruthTable]:
+        if net in index:
+            return TruthTable.input_var(n, index[net])
+        if net in cache:
+            return cache[net]
+        driver = netlist.driver_of(net)
+        if driver is None or driver.is_sequential:
+            return None
+        sub_tables = []
+        for input_net in driver.input_nets():
+            sub = table_of(input_net)
+            if sub is None:
+                return None
+            sub_tables.append(sub)
+        cache[net] = driver.config.compose(sub_tables)
+        return cache[net]
+
+    function = table_of(netlist.instances[root].output_net)
+    assert (interior is None) == (function is None)
+    return None if interior is None else (interior, function)
+
+
+def reference_net_cuts(
+    netlist: Netlist, k: int = 3, cap: int = 16
+) -> Dict[str, List[Tuple[str, ...]]]:
+    """Compaction's enumerated cuts per net, merged as sorted tuples
+    of sets, with ``set <= set`` dominance tests."""
+    cuts: Dict[str, List[Tuple[str, ...]]] = {}
+
+    def cuts_of_net(net: str) -> List[Tuple[str, ...]]:
+        driver = netlist.driver_of(net)
+        if driver is None or driver.is_sequential:
+            return [(net,)]
+        return cuts.get(net, [(net,)])
+
+    for inst in netlist.topological_order():
+        input_nets = tuple(dict.fromkeys(inst.input_nets()))
+        merged = [input_nets] if len(input_nets) <= k else []
+        partial: List[Tuple[str, ...]] = [()]
+        for net in input_nets:
+            options = cuts_of_net(net) + [(net,)]
+            nxt = []
+            for base in partial:
+                for option in options:
+                    union = tuple(sorted(set(base) | set(option)))
+                    if len(union) <= k:
+                        nxt.append(union)
+            partial = list(dict.fromkeys(nxt))[: cap * 4]
+        merged.extend(partial)
+        unique = sorted(set(m for m in merged if m), key=lambda c: (len(c), c))
+        kept: List[Tuple[str, ...]] = []
+        for candidate in unique:
+            if any(set(existing) <= set(candidate) for existing in kept):
+                continue
+            kept.append(candidate)
+            if len(kept) >= cap:
+                break
+        cuts[inst.output_net] = kept
+    return cuts
+
+
+def reference_cut_function(aig: AIG, node: int, cut) -> TruthTable:
+    """``node`` over ``cut`` with one ``TruthTable`` per AIG node."""
+    n = len(cut)
+    leaf_index = {leaf: i for i, leaf in enumerate(cut)}
+    cache: Dict[int, TruthTable] = {}
+
+    def table_of(current: int) -> TruthTable:
+        if current in cache:
+            return cache[current]
+        if current in leaf_index:
+            result = TruthTable.input_var(n, leaf_index[current])
+        elif current == 0:
+            result = TruthTable.constant(n, False)
+        elif aig.is_input(current):
+            raise ValueError(f"input node {current} escapes cut {cut} of {node}")
+        else:
+            f0, f1 = aig.fanins(current)
+            t0 = table_of(lit_node(f0))
+            if lit_inverted(f0):
+                t0 = ~t0
+            t1 = table_of(lit_node(f1))
+            if lit_inverted(f1):
+                t1 = ~t1
+            result = t0 & t1
+        cache[current] = result
+        return result
+
+    return table_of(node)
+
+
+def reference_mux_over(legs, others) -> FrozenSet[TruthTable]:
+    """MUX(select literal; leg, other) in both data orders, added to a
+    set one ``TruthTable.mux`` result at a time."""
+    selects = [t for t in literal_sources_3in() if not t.is_constant()]
+    found = set()
+    for s in selects:
+        for leg in legs:
+            for other in others:
+                found.add(TruthTable.mux(s, leg, other))
+                found.add(TruthTable.mux(s, other, leg))
+    return frozenset(found)
 
 
 # ----------------------------------------------------------------------
@@ -468,12 +616,191 @@ class TestFlowMapOracle:
 
 
 # ----------------------------------------------------------------------
+# Compaction cone walks
+# ----------------------------------------------------------------------
+
+def random_aig_core(seed: int) -> CombCore:
+    g = random_aig(seed)
+    return CombCore(
+        aig=g,
+        primary_inputs=tuple(g.input_names),
+        primary_outputs=tuple(name for name, _ in g.outputs),
+        dffs=(),
+    )
+
+
+def checked_compaction(core: CombCore, arch: str, monkeypatch) -> Counter:
+    """Map and compact ``core``, checking every pass's enumerated cuts
+    (also at a size and cap that truncate the partial unions) against
+    ``reference_net_cuts``, and every candidate walk against
+    ``reference_cluster`` with two variants of it: without its first
+    leaf (which often escapes the cut) and with the root's first input
+    net as one more leaf (a shorter cone over more leaves)."""
+    seen: Counter = Counter()
+    netlists: List[Netlist] = []
+    compact, walk = compaction.compact, compaction._Cones.walk
+    net_cuts = compaction._enumerate_net_cuts
+
+    def recording_compact(netlist, *args, **kwargs):
+        netlists.append(netlist)
+        return compact(netlist, *args, **kwargs)
+
+    def checked_net_cuts(drivers, k):
+        # k=5 with one cut per net overflows the partial-union limit
+        for k_, cap in ((k, 16), (5, 1)):
+            got = net_cuts(drivers, k=k_, cap=cap)
+            assert list(got.items()) == list(
+                reference_net_cuts(netlists[-1], k=k_, cap=cap).items())
+        return net_cuts(drivers, k=k)
+
+    def checked_walk(cones, root_net, leaf_nets):
+        netlist = netlists[-1]
+        root = netlist.driver_of(root_net).name
+        inner = netlist.instances[root].input_nets()[0]
+        for leaves in (leaf_nets, leaf_nets[1:], (*leaf_nets, inner)):
+            got = walk(cones, root_net, leaves)
+            ref = reference_cluster(netlist, root, leaves)
+            if ref is None:
+                assert got is None
+                seen["escapes"] += 1
+                continue
+            interior, mask = got
+            assert interior == {
+                name: netlist.instances[name].output_net for name in ref[0]
+            }
+            assert TruthTable(len(leaves), mask) == ref[1]
+            seen["cones"] += 1
+            seen["repeated_inputs"] += any(
+                len(set(inst.input_nets())) < len(inst.input_nets())
+                for inst in map(netlist.instances.get, [root, *interior])
+            )
+        return walk(cones, root_net, leaf_nets)
+
+    monkeypatch.setattr(compaction, "compact", recording_compact)
+    monkeypatch.setattr(compaction._Cones, "walk", checked_walk)
+    monkeypatch.setattr(compaction, "_enumerate_net_cuts", checked_net_cuts)
+    library = architecture_of(arch).library
+    mapped = map_core(core, arch, library)
+    compact_to_fixpoint(mapped, arch, library)
+    seen["passes"] = len(netlists)
+    return seen
+
+
+class TestCompactionConeOracle:
+    @pytest.mark.parametrize("design", DESIGNS)
+    def test_design_cores(self, design, design_cores, monkeypatch):
+        core = design_cores[design]
+        core = replace(core, aig=optimize(core.aig))
+        seen: Counter = Counter()
+        for arch in ARCHES:
+            cell = checked_compaction(core, arch, monkeypatch)
+            monkeypatch.undo()
+            assert cell["passes"] >= 2
+            seen += cell
+        assert seen["cones"] > 500 and seen["escapes"] > 500
+        assert seen["repeated_inputs"] > 0
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_aigs(self, seed, monkeypatch):
+        seen: Counter = Counter()
+        for arch in ARCHES:
+            seen += checked_compaction(random_aig_core(seed), arch, monkeypatch)
+            monkeypatch.undo()
+        assert seen["cones"] > 0 and seen["escapes"] > 0
+
+    def test_walk_counts_the_nodes_it_enters(self):
+        netlist = map_core(random_aig_core(3), "granular",
+                           architecture_of("granular").library)
+        order = netlist.topological_order()
+        cones = compaction._Cones({
+            inst.output_net: compaction._Driver(
+                inst.name, inst.input_nets(), inst.config.mask)
+            for inst in order
+        })
+        root = order[-1]
+        first = cones.walk(root.output_net, root.input_nets()[:3])
+        assert first is not None and first[0] == {}
+        assert cones.visited == 1
+        assert cones.walk(root.output_net, ()) is None
+        assert cones.visited >= 2
+
+
+class TestCutFunctionOracle:
+    @staticmethod
+    def _check(aig: AIG, cuts) -> Counter:
+        seen: Counter = Counter()
+        for node in aig.and_nodes():
+            for cut in cuts[node]:
+                for leaves in (cut, cut[1:]):
+                    try:
+                        expected = reference_cut_function(aig, node, leaves)
+                    except ValueError:
+                        with pytest.raises(ValueError):
+                            cut_function(aig, node, leaves)
+                        seen["escapes"] += 1
+                        continue
+                    assert cut_function(aig, node, leaves) == expected
+                    seen["cuts"] += 1
+        return seen
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_aigs(self, seed):
+        g = random_aig(seed)
+        for tree_mode in (False, True):
+            self._check(g, enumerate_cuts(g, k=3, tree_mode=tree_mode))
+
+    @pytest.mark.parametrize("design", DESIGNS)
+    def test_design_cores(self, design, design_cores):
+        g = optimize(design_cores[design].aig)
+        seen = self._check(g, enumerate_cuts(g, k=3))
+        assert seen["cuts"] > 100 and seen["escapes"] > 0
+
+    def test_constant_leaf_is_a_projection(self):
+        # Node 4 = AND(NOT const0, a) is built by hand: and2 would fold it.
+        g = AIG("const")
+        a, b = g.add_input("a"), g.add_input("b")
+        g.fanin0[3], g.fanin1[3] = 1, a
+        g.fanin0[4], g.fanin1[4] = 2 * 3, b
+        for cut in ((1, 2), (0, 1, 2), (2, 3), (0, 2, 3), (0, 1, 2, 3)):
+            got = cut_function(g, 4, cut)
+            assert got == reference_cut_function(g, 4, cut)
+        assert cut_function(g, 4, (1, 2)) == TruthTable(2, 0b1000)
+        # leaf 0 is input 0: 4 = ~x0 & x1 & x2
+        assert cut_function(g, 4, (0, 1, 2)) == TruthTable(3, 0b01000000)
+
+
+def test_granular_config_sets_match_reference():
+    """Equal sets, iterating in the same order: the architecture's repr,
+    and so every synthesis cache key, lists them in that order."""
+    literals = literal_sources_3in()
+    mux_legs = tuple(mux2_implementable_3in())
+    both_legs = set()
+    for s in (t for t in literals if not t.is_constant()):
+        for m in mux_legs:
+            both_legs.add(TruthTable.mux(s, m, ~m))
+            both_legs.add(TruthTable.mux(s, ~m, m))
+    expected = {
+        configs.ndmx_functions:
+            reference_mux_over(tuple(nd2wi_sources_3in()), literals),
+        configs.xoamx_functions:
+            frozenset(reference_mux_over(mux_legs, literals) | both_legs),
+        configs.xoandmx_functions:
+            reference_mux_over(mux_legs, tuple(nd3wi_implementable_3in())),
+    }
+    for built, reference in expected.items():
+        assert list(built()) == list(reference)
+    assert configs.coverage_summary() == {
+        "ND3": 48, "MX": 62, "NDMX": 174, "XOAMX": 224, "XOANDMX": 254,
+    }
+
+
+# ----------------------------------------------------------------------
 # Pinned synthesis digests
 # ----------------------------------------------------------------------
 
 #: sha256 of canonical_netlist(synthesized netlist), supernodes collapsed
-#: and the structure histogram, per (design, arch) at scale 0.25 with the
-#: default options.
+#: and the structure histogram, per (design, arch) with the default
+#: options, at scale 0.25 unless the key names one after ``@``.
 PINNED: Dict[str, Tuple[str, int, Dict[str, int]]] = {
     "alu/granular": (
         "0a2b2102eaa828067ad2f0b586eb6ffa3e32723b36f231bac55d63267e2f2a21", 13,
@@ -508,14 +835,22 @@ PINNED: Dict[str, Tuple[str, int, Dict[str, int]]] = {
         "ad2347cd72644c2b541352e0a90fe86dc407386646769373c9d477cbbc5c07e8", 46,
         {"LUT3": 40, "ND2": 2, "ND2+ND2": 2, "ND3": 2},
     ),
+    # The largest cell of the paper's matrix (flowbench's fpu_full).
+    "fpu/granular@1.0": (
+        "e19f045b7cca8a2de4ec3c0fcf7f3d21e91507d7838f5b431db310edfdbcfdcb", 179,
+        {"BUF": 1, "MX": 25, "ND2": 128, "ND2+ND2": 5, "ND3": 18, "NDMX": 1,
+         "XOANDMX": 1},
+    ),
 }
 
 
 @pytest.mark.parametrize("cell", sorted(PINNED))
 def test_pinned_synthesis_digest(cell):
-    design, arch = cell.split("/")
+    design_arch, _, scale = cell.partition("@")
+    design, arch = design_arch.split("/")
     result = synthesize(
-        build_design(design, scale=ORACLE_SCALE), FlowOptions(arch=arch)
+        build_design(design, scale=float(scale or ORACLE_SCALE)),
+        FlowOptions(arch=arch),
     )
     digest = hashlib.sha256(
         canonical_netlist(result.netlist).encode("utf-8")

@@ -10,6 +10,8 @@ per iteration:
 ``synth.cuts``                cuts ``enumerate_cuts`` returned
 ``synth.flowmap.cone_nodes``  nodes FlowMap collected into cut cones
 ``synth.flowmap.searches``    FlowMap augmenting-path searches
+``synth.compact.cone_nodes``  driver nodes compaction's candidate walks
+                              entered (one walk per candidate cut)
 ``sa.evaluated``              SA moves whose cost delta was computed
 ``sa.accepted``               SA moves committed
 ``sa.net_scans``              nets shared by the two cells of a swap
@@ -22,8 +24,8 @@ The counts are exact for a given (design, options) on every platform,
 so this test pins them where a wall-time bound could not: a kernel that
 silently falls back to a slower algorithm (a cone walk per sort key in
 ``balance``, a dict-of-dicts FlowMap network, a rescanned SA bounding
-box) changes its counts, while its run time on a shared host may move
-by less than the noise.
+box, a second cone walk per compaction candidate) changes its counts,
+while its run time on a shared host may move by less than the noise.
 
 Updating: when a change is *meant* to alter the work a kernel does,
 paste the observed vector from the failure message into ``EXPECTED``
@@ -47,6 +49,7 @@ WORK_COUNTERS = (
     "synth.cuts",
     "synth.flowmap.cone_nodes",
     "synth.flowmap.searches",
+    "synth.compact.cone_nodes",
     "sa.evaluated",
     "sa.accepted",
     "sa.net_scans",
@@ -71,6 +74,7 @@ EXPECTED = {
         "synth.cuts": 1300,
         "synth.flowmap.cone_nodes": 9106,
         "synth.flowmap.searches": 1589,
+        "synth.compact.cone_nodes": 2388,
         "sa.evaluated": 29591,
         "sa.accepted": 14001,
         "sa.net_scans": 1759,
@@ -83,6 +87,7 @@ EXPECTED = {
         "synth.cuts": 1300,
         "synth.flowmap.cone_nodes": 6807,
         "synth.flowmap.searches": 1130,
+        "synth.compact.cone_nodes": 1131,
         "sa.evaluated": 25377,
         "sa.accepted": 12525,
         "sa.net_scans": 1988,
@@ -95,6 +100,7 @@ EXPECTED = {
         "synth.cuts": 2601,
         "synth.flowmap.cone_nodes": 91975,
         "synth.flowmap.searches": 4002,
+        "synth.compact.cone_nodes": 6484,
         "sa.evaluated": 0,
         "sa.accepted": 0,
         "sa.net_scans": 0,
