@@ -32,9 +32,9 @@ PLB ~1.20x the LUT PLB, granular combinational area ~1.266x.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import lru_cache
-from typing import Dict, FrozenSet, Optional, Tuple
+from typing import Callable, Dict, FrozenSet, Optional, Tuple
 
 from ..logic.truthtable import TruthTable
 
@@ -125,6 +125,23 @@ class CellType:
         """Propagation delay in ns for a given output load."""
         cin = max(self.input_caps.values()) if self.input_caps else 1.0
         return TAU_NS * (self.parasitic + self.logical_effort * load / cin)
+
+    def __reduce__(self):
+        # A component cell pickles as a reference to this process's one
+        # object, so loaded artifacts share it with the library; any other
+        # cell pickles by value, its feasible set in mask order.
+        make = _COMPONENTS.get(self.name)
+        if make is not None and make() is self:
+            return make, ()
+        values = [getattr(self, f.name) for f in fields(self)]
+        if self.feasible is not None:  # the third field
+            values[2] = sorted(self.feasible, key=lambda t: t.mask)
+        return _cell_by_value, tuple(values)
+
+
+def _cell_by_value(name, pins, feasible, *rest) -> CellType:
+    feasible = None if feasible is None else frozenset(feasible)
+    return CellType(name, pins, feasible, *rest)
 
 
 # ----------------------------------------------------------------------
@@ -252,6 +269,32 @@ def make_dff() -> CellType:
     )
 
 
+@lru_cache(maxsize=None)
+def make_polbuf() -> CellType:
+    """The programmable polarity/output buffer slot.
+
+    Its area is folded into the PLB overhead terms, so the slot itself is
+    free; it exists so INV/BUF instances have somewhere to live.
+    """
+    return CellType(
+        name="POLBUF",
+        pins=("A",),
+        feasible=frozenset({buf_table(), inv_table()}),
+        area=0.0,
+        input_caps={"A": 1.0},
+        logical_effort=1.0,
+        parasitic=1.5,
+    )
+
+
+#: Every component cell's constructor, by cell name.
+_COMPONENTS: Dict[str, Callable[[], CellType]] = {
+    "INV": make_inv, "BUF": make_buf, "ND2WI": make_nd2wi,
+    "ND3WI": make_nd3wi, "MUX2": make_mux2, "XOA": make_xoa,
+    "LUT3": make_lut3, "DFF": make_dff, "POLBUF": make_polbuf,
+}
+
+
 #: Clock-to-Q delay of the DFF, ns.
 DFF_CLK_TO_Q_NS = 0.10
 #: Setup time of the DFF, ns.
@@ -259,9 +302,7 @@ DFF_SETUP_NS = 0.06
 
 
 def standard_cells() -> Dict[str, CellType]:
-    """All component cells, keyed by name."""
-    cells = (
-        make_inv(), make_buf(), make_nd2wi(), make_nd3wi(),
-        make_mux2(), make_xoa(), make_lut3(), make_dff(),
-    )
-    return {cell.name: cell for cell in cells}
+    """All component cells but the buffer slot, keyed by name."""
+    return {
+        name: make() for name, make in _COMPONENTS.items() if name != "POLBUF"
+    }

@@ -60,6 +60,20 @@ class LogicConfig:
             table = table.extend(3) if table.n_inputs < 3 else table
         return table in self.functions
 
+    def __reduce__(self):
+        # A built-in configuration pickles as a reference to this
+        # process's one object; any other by value, in mask order.
+        if builtin_config(self.name) is self:
+            return builtin_config, (self.name,)
+        functions = sorted(self.functions, key=lambda t: t.mask)
+        return _config_by_value, (
+            self.name, self.resources, functions, self.area, self.levels,
+        )
+
+
+def _config_by_value(name, resources, functions, area, levels) -> LogicConfig:
+    return LogicConfig(name, resources, frozenset(functions), area, levels)
+
 
 def _mux_over(
     leg_sources: Sequence[TruthTable], other_sources: Sequence[TruthTable]
@@ -153,6 +167,7 @@ def lut3_functions() -> FrozenSet[TruthTable]:
     return frozenset(all_functions(3))
 
 
+@lru_cache(maxsize=None)
 def granular_configs() -> Tuple[LogicConfig, ...]:
     """The granular PLB's configurations, cheapest-area first.
 
@@ -176,14 +191,20 @@ def granular_configs() -> Tuple[LogicConfig, ...]:
     )
 
 
+@lru_cache(maxsize=None)
 def lut_arch_configs() -> Tuple[LogicConfig, ...]:
     """The LUT-based PLB's configurations (paper Figure 1 architecture)."""
-    nd3_area = make_nd3wi().area
     lut_area = make_lut3().area
     return (
-        LogicConfig("ND3", {"ND3WI": 1}, nd3_functions(), nd3_area, 1),
+        granular_configs()[0],  # ND3
         LogicConfig("LUT3", {"LUT3": 1}, lut3_functions(), lut_area, 1),
     )
+
+
+def builtin_config(name: str) -> Optional[LogicConfig]:
+    """This process's one built-in configuration named ``name``, if any."""
+    configs = granular_configs() + lut_arch_configs()
+    return {config.name: config for config in configs}.get(name)
 
 
 def best_config(

@@ -33,6 +33,7 @@ from ..cells.celltypes import (
     make_lut3,
     make_mux2,
     make_nd3wi,
+    make_polbuf,
     make_xoa,
 )
 from ..cells.library import Library, granular_plb_library, lut_plb_library
@@ -83,6 +84,14 @@ class PLBArchitecture:
     library: Library = field(compare=False, hash=False)
     slot_cells: Mapping[str, CellType] = field(compare=False, hash=False)
 
+    def __reduce_ex__(self, protocol):
+        # The paper's two architectures pickle as a reference to this
+        # process's one object; a custom one pickles by value.
+        builtin = {"lut": lut_plb, "granular": granular_plb}.get(self.name)
+        if builtin is not None and builtin() is self:
+            return builtin, ()
+        return super().__reduce_ex__(protocol)
+
     # ------------------------------------------------------------------
     # Areas
     # ------------------------------------------------------------------
@@ -125,15 +134,6 @@ class PLBArchitecture:
     def capacity(self) -> Dict[str, int]:
         """Copy of the per-PLB slot capacities."""
         return dict(self.slots)
-
-    def dff_per_plb(self) -> int:
-        return self.slots.get("DFF", 0)
-
-    def comb_slot_count(self) -> int:
-        return sum(
-            count for slot, count in self.slots.items()
-            if not self.slot_cells[slot].is_sequential and slot != "POLBUF"
-        )
 
 
 def _component_cells() -> Dict[str, CellType]:
@@ -206,7 +206,7 @@ def lut_plb() -> PLBArchitecture:
         comb_overhead=over_l,
         seq_overhead=0.0,
         library=lut_plb_library(),
-        slot_cells={**_component_cells(), "POLBUF": _polbuf_cell()},
+        slot_cells={**_component_cells(), "POLBUF": make_polbuf()},
     )
 
 
@@ -238,7 +238,7 @@ def granular_plb() -> PLBArchitecture:
         comb_overhead=over_g,
         seq_overhead=0.0,
         library=granular_plb_library(),
-        slot_cells={**_component_cells(), "POLBUF": _polbuf_cell()},
+        slot_cells={**_component_cells(), "POLBUF": make_polbuf()},
     )
 
 
@@ -338,25 +338,5 @@ def custom_plb(name: str, components: Mapping[str, int]) -> PLBArchitecture:
         comb_overhead=interconnect_overhead(n_comb),
         seq_overhead=0.0,
         library=library,
-        slot_cells={**cells, "POLBUF": _polbuf_cell()},
-    )
-
-
-@lru_cache(maxsize=None)
-def _polbuf_cell() -> CellType:
-    """The programmable polarity/output buffer slot.
-
-    Its area is folded into the PLB overhead terms, so the slot itself is
-    free; it exists so INV/BUF instances have somewhere to live.
-    """
-    from ..logic.truthtable import TruthTable
-
-    return CellType(
-        name="POLBUF",
-        pins=("A",),
-        feasible=frozenset({TruthTable.input_var(1, 0), ~TruthTable.input_var(1, 0)}),
-        area=0.0,
-        input_caps={"A": 1.0},
-        logical_effort=1.0,
-        parasitic=1.5,
+        slot_cells={**cells, "POLBUF": make_polbuf()},
     )

@@ -119,8 +119,9 @@ class StageCache:
     directory (a concurrent run, ``repro cache gc``) never sees a partial
     entry (a torn read would be caught by the digest anyway).  Within one
     flow run only the process that runs the stage DAG reads and writes
-    it: pool workers receive their inputs and return their artifacts in
-    memory (see :mod:`repro.flow.scheduler`).
+    it: pool workers receive their inputs' pickles and return their
+    artifact's, which is stored as it is (see
+    :mod:`repro.flow.scheduler`).
     """
 
     def __init__(self, root: Optional[Path] = None, enabled: bool = True):
@@ -135,8 +136,9 @@ class StageCache:
     def _path(self, stage: str, key: str) -> Path:
         return self.root / stage / f"{key}.pkl"
 
-    def get(self, stage: str, key: str) -> Optional[Any]:
-        """The cached result, or ``None`` on miss/corruption."""
+    def get(self, stage: str, key: str, loads=pickle.loads) -> Optional[Any]:
+        """``loads`` of the cached payload, or ``None`` on miss/corruption
+        (a payload that ``loads`` rejects is corrupt too)."""
         if not self.enabled:
             return None
         path = self._path(stage, key)
@@ -151,7 +153,7 @@ class StageCache:
         ok = bool(sep) and hashlib.sha256(payload).hexdigest().encode() == digest
         if ok:
             try:
-                result = pickle.loads(payload)
+                result = loads(payload)
             except Exception:
                 ok = False
         if not ok:
@@ -175,11 +177,14 @@ class StageCache:
         _obs.point("cache", stage=stage, outcome="hit", bytes=len(raw))
         return result
 
-    def put(self, stage: str, key: str, value: Any) -> None:
+    def put(self, stage: str, key: str, value: Any,
+            payload: Optional[bytes] = None) -> None:
+        """Store ``value``, or its pickle ``payload`` as it is if given."""
         if not self.enabled:
             return
         path = self._path(stage, key)
-        payload = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
+        if payload is None:
+            payload = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
         blob = hashlib.sha256(payload).hexdigest().encode() + b"\n" + payload
         try:
             path.parent.mkdir(parents=True, exist_ok=True)

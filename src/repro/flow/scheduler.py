@@ -20,51 +20,45 @@ warm matrix runs no stage at all.  A miss computes the stage:
 * **jobs>1: on a pool of worker processes**, critical-path task first,
   so cell B's synthesis overlaps cell A's physical stage and the
   wall-clock approaches ``max(critical_path, total_work / jobs)``.  A
-  worker receives the task's upstream artifacts (and, for synthesis, its
-  source netlist), computes and audits the stage, and returns the
-  artifact with its trace fragment; it never opens the cache.
+  worker never opens the cache.
 
-Either way the loop ``put``\\ s each computed artifact and keeps every
-artifact in one in-memory store by task, from which the finished
-:class:`~repro.flow.flow.DesignRun` of each cell is assembled.  So cache
-traffic, like the results, does not depend on the job count, and
-``use_cache=False`` persists nothing at any job count.
+An artifact is its pickle, made once where its stage ran: that pickle is
+the cache entry, written as it is, and what the pool receives for each
+dependent.  Every stage computes from its inputs as loaded from their
+own pickles, in this process too, so the pickles it makes, and every
+cache entry, have the same bytes however its inputs arrived and at any
+job count.  The loop keeps every loaded artifact, by task, until each
+cell's :class:`~repro.flow.flow.DesignRun` is assembled, in input order.
+Stages are pure per (inputs, options slice, seed), so results, like
+cache traffic, are bit-identical at any job count; ``use_cache=False``
+persists nothing.
 
-Results are bit-identical at any job count: stages are pure functions of
-(inputs, options slice, seed), and assembly walks cells in input order.
-
-Every artifact the loop deserializes (a cache hit, or a pool task's
-result) is loaded with the cyclic garbage collector paused and then
-moved into its permanent generation with :func:`gc.freeze`.  Artifacts
-live until the run ends and hold no garbage cycles, so the collector
-could only waste time rescanning them; on a warm matrix its full
-collections would cost about as much as the loads themselves.  The run
-unfreezes them when it ends, however it ends.  Outside those load
-windows the collector runs as usual, so the garbage that computing a
-stage makes is still collected; cycles that already exist at a load stay
-uncollected until the run ends.  While tracing, the run counts the
-collections the collector made in this process, per generation, as
-``gc.collections.gen0`` / ``gen1`` / ``gen2``.
+Artifacts are loaded with the cyclic collector paused.  A cache hit or a
+pool task's result is then frozen (:func:`gc.freeze`) until the run
+ends, however it ends: it lives that long and holds no garbage cycles,
+so the collector could only waste time rescanning it.  An artifact
+computed in this process is not frozen, as that would freeze the garbage
+its stage left too; a young-generation collection before its load frees
+the last of that garbage for the load to reuse.  Traced runs count this
+process's collections per generation as ``gc.collections.gen0`` /
+``gen1`` / ``gen2``.
 
 The failure and cancellation contract is the same at every job count.
 A stage that raises, or whose artifact cannot be pickled, fails only the
-cells that transitively depend on it; unaffected cells complete, and the
-run ends with :class:`StageFailure` carrying the original traceback and
-every completed cell's result.  A pool worker that dies (killed, or
-``os._exit``) breaks its pool: every task still on it fails the same
-way, with the pool's ``BrokenProcessPool`` as its traceback, and the
-next pool task starts a fresh pool.  The ``cancel`` hook is polled before
-every task leaves the ready heap; once it returns True the run starts
-nothing new, stores what the in-flight pool tasks return, and raises
-:class:`FlowCancelled`.  Finished stages are then in the stage cache, so
-a rerun resumes warm.
+cells that depend on it: the run ends with :class:`StageFailure` carrying
+the original traceback and every completed cell's result.  A pool worker
+that dies (killed, or ``os._exit``) breaks its pool; every task on it
+reruns once on a fresh pool from the same input pickles, and fails as
+above, with the ``BrokenProcessPool`` traceback, if that pool breaks
+too.  Once the ``cancel`` hook, polled before each task starts, returns
+True, the run starts nothing new, stores what the pool tasks in flight
+return and raises :class:`FlowCancelled`; a rerun resumes warm.
 """
 
 from __future__ import annotations
 
 import gc
 import heapq
-import io
 import pickle
 import sys
 import time
@@ -240,24 +234,23 @@ def _run_stage(
     options: FlowOptions,
     upstream: Dict[str, object],
     netlist: Optional[Netlist],
-    artifact: object = None,
-) -> Tuple[object, float, Optional[Exception]]:
-    """Compute one stage unless its cached ``artifact`` is given; audit it.
+    cached: object = None,
+) -> Tuple[Optional[bytes], float, Optional[Exception]]:
+    """Compute one stage unless its ``cached`` artifact is given; audit it.
 
-    Returns ``(artifact, seconds, exc)``.  ``exc`` is what the compute or
-    the audit raised; ``artifact`` is None only when the compute raised,
-    so an artifact that fails its audit is still stored, like a cached
-    one.  Never raises.
+    Returns ``(pickle, seconds, exc)``: the pickle of the artifact this
+    call computed, which is freed on return, and what the compute, the
+    audit or the pickling raised.  An artifact that fails its audit is
+    still pickled, to be stored like a cached one.  Never raises.
     """
-    hit = artifact is not None
-    exc: Optional[Exception] = None
+    artifact, exc = cached, None
     start = time.perf_counter()  # check: allow(DT002) stage timing report only
     try:
         with _obs.span(
             f"flow.{stage}", stage=stage, design=cell[0], arch=cell[1],
-            sched="stage", cached=hit,
+            sched="stage", cached=cached is not None,
         ):
-            if not hit:
+            if cached is None:
                 artifact = compute_stage(
                     stage, options, upstream, netlist=netlist
                 )
@@ -269,24 +262,28 @@ def _run_stage(
         exc = err
     elapsed = time.perf_counter() - start  # check: allow(DT002) stage timing report only
     _obs.observe(f"stage.seconds.{stage}", elapsed)
-    return artifact, elapsed, exc
+    blob = None
+    if cached is None and artifact is not None:
+        try:
+            blob = pickle.dumps(artifact, pickle.HIGHEST_PROTOCOL)
+        except Exception as err:  # an artifact that cannot be pickled
+            exc = exc or err
+    return blob, elapsed, exc
 
 
-def _load(read: Callable[..., object], *args) -> object:
-    """``read(*args)`` with the cyclic collector paused; what it loads is
-    then frozen (see the module docstring).
-
-    A miss (``None``) freezes nothing, so the garbage of stages this
-    process computed stays collectable.  The collector's enabled state
-    is restored, so a caller that disabled it keeps it disabled.
-    """
+def _loads(blob: bytes, freeze: bool) -> object:
+    """``pickle.loads(blob)`` with the collector paused, then frozen if
+    ``freeze``; a caller that disabled the collector keeps it disabled
+    (see the module docstring)."""
     enabled = gc.isenabled()
+    if enabled and not freeze:
+        gc.collect(0)
     gc.disable()
     try:
-        loaded = read(*args)
-        if loaded is not None:
+        artifact = pickle.loads(blob)
+        if freeze:
             gc.freeze()
-        return loaded
+        return artifact
     finally:
         if enabled:
             gc.enable()
@@ -298,82 +295,26 @@ def _format(exc: Exception) -> str:
     )
 
 
-# A pool task's inputs travel as one pickle.  When a dependent will
-# receive the task's artifact together with one of those inputs (packing
-# gets physical with synthesis, route_b gets packing with synthesis), the
-# artifact comes back pickled with each object it shares with its inputs
-# written as that object's index in the inputs' pickle memo, which the
-# parent resolves to its own object.  Those inputs then share what they
-# would share in one process, so every artifact computed from them, and
-# its cache entry, is the same at every job count.  Other artifacts come
-# back as plain pickles.
-
-def _ship(
-    upstream: Dict[str, object], netlist: Optional[Netlist]
-) -> Tuple[bytes, pickle.Pickler]:
-    """A task's inputs pickled, and the pickler holding their memo."""
-    out = io.BytesIO()
-    pickler = pickle.Pickler(out, pickle.HIGHEST_PROTOCOL)
-    pickler.dump((upstream, netlist))
-    return out.getvalue(), pickler
-
-
-class _ArtifactPickler(pickle.Pickler):
-    """Writes each object a worker received as its memo index."""
-
-    def __init__(self, out: io.BytesIO, received: Dict[int, object]):
-        super().__init__(out, pickle.HIGHEST_PROTOCOL)
-        self.received = received  # keeps every id below unique
-        self.index = dict(zip(map(id, received.values()), received))
-
-    def persistent_id(self, obj):
-        return self.index.get(id(obj))
-
-
-class _ArtifactUnpickler(pickle.Unpickler):
-    """Resolves each memo index to the object the parent shipped."""
-
-    def __init__(self, blob: bytes, shipped: Dict[int, object]):
-        super().__init__(io.BytesIO(blob))
-        self.shipped = shipped
-
-    def persistent_load(self, pid):
-        return self.shipped[pid]
-
-
 def _pool_task(
     stage: str,
     cell: Cell,
     options: FlowOptions,
-    inputs: bytes,
-    linked: bool,
+    inputs: Dict[str, bytes],
+    netlist: Optional[Netlist],
     observe: bool,
 ) -> tuple:
-    """Worker body: compute and audit one stage from its shipped inputs.
+    """Worker body: compute and audit one stage from its inputs' pickles.
 
     Returns ``(artifact pickle, seconds, events, error)`` and never
     raises: a failure comes back as its formatted traceback, so the
     parent fails exactly the dependent cells and keeps the rest of the
-    matrix running.  A ``linked`` artifact is pickled with references
-    to the inputs it shares objects with.
+    matrix running.
     """
     if sys.getrecursionlimit() < _RECURSION_LIMIT:
         sys.setrecursionlimit(_RECURSION_LIMIT)
     own_trace = observe and _obs.begin()
-    unpickler = pickle.Unpickler(io.BytesIO(inputs))
-    upstream, netlist = unpickler.load()
-    received = unpickler.memo.copy() if linked else {}
-    artifact, elapsed, exc = _run_stage(stage, cell, options, upstream, netlist)
-    blob = None
-    try:
-        if artifact is not None and linked:
-            out = io.BytesIO()
-            _ArtifactPickler(out, received).dump(artifact)
-            blob = out.getvalue()
-        elif artifact is not None:
-            blob = pickle.dumps(artifact, pickle.HIGHEST_PROTOCOL)
-    except Exception as err:  # an artifact that cannot be pickled
-        blob, exc = None, exc or err
+    upstream = {name: pickle.loads(blob) for name, blob in inputs.items()}
+    blob, elapsed, exc = _run_stage(stage, cell, options, upstream, netlist)
     events = _obs.drain() if own_trace else None
     return blob, elapsed, events, None if exc is None else _format(exc)
 
@@ -419,8 +360,8 @@ def run_stage_graph(
     :class:`FlowCancelled` once ``cancel`` returns True.  A
     ``KeyboardInterrupt`` stores what the in-flight pool tasks return,
     shuts the pool down in order and is re-raised.  Artifacts loaded
-    during the run are frozen out of the cyclic collector until it
-    returns or raises (see the module docstring).
+    from the cache or the pool are frozen out of the cyclic collector
+    until it returns or raises (see the module docstring).
 
     ``cache`` overrides the stage cache chosen from ``options.use_cache``.
     Two hooks serve :func:`~repro.flow.flow.run_design`: ``netlists``
@@ -533,9 +474,12 @@ def _dispatch(
     """Run every task until the DAG drains; the artifacts by task id.
 
     Only synthesis reads a source netlist, so each is dropped from
-    ``designs`` once its design's last synthesis task has started.
+    ``designs`` once its design's last synthesis task has started.  With
+    a pool, an artifact's pickle is kept until its last dependent has
+    started; in process none is kept.
     """
     artifacts: Dict[int, object] = {}
+    pickles: Dict[int, bytes] = {}
 
     def order(task: _Task) -> float:
         """In process the heap pops in task-id order; the pool pops the
@@ -547,7 +491,8 @@ def _dispatch(
     last_reader = {t.cell[0]: t for t in tasks if t.stage == "synthesis"}
     workers = max(1, min(jobs, len(tasks)))
     pool: Optional[ProcessPoolExecutor] = None
-    inflight: Dict[object, Tuple[int, Optional[pickle.Pickler]]] = {}
+    inflight: Dict[object, Tuple[int, tuple]] = {}
+    retried: Set[int] = set()
 
     def charge(task: _Task, call: Callable, *args):
         """One cache call on ``task``'s entry, its traffic charged to it."""
@@ -557,19 +502,15 @@ def _dispatch(
         return result
 
     def finish(
-        task: _Task, artifact, elapsed: float,
+        task: _Task, artifact, blob: Optional[bytes], elapsed: float,
         error: Optional[str] = None, exc: Optional[Exception] = None,
     ) -> None:
-        """Store a computed artifact; then fail the task (``error`` is a
-        pool task's traceback, ``exc`` an in-process exception) or release
-        its dependents."""
+        """Store a computed artifact's pickle; then fail the task
+        (``error`` is a pool task's traceback, ``exc`` an in-process
+        exception) or release its dependents."""
         task.elapsed = elapsed
-        if artifact is not None and not task.hit:
-            try:
-                charge(task, cache.put, artifact)
-            except Exception as err:  # an artifact that cannot be pickled
-                if exc is None and error is None:
-                    exc = err
+        if blob is not None and not task.hit:
+            charge(task, cache.put, artifact, blob)
         if exc is not None:
             error = _format(exc)
         if error is not None:
@@ -578,6 +519,8 @@ def _dispatch(
             return
         task.state = "done"
         artifacts[task.tid] = artifact
+        if jobs > 1 and task.dependents:
+            pickles[task.tid] = blob
         for did in task.dependents:
             dependent = tasks[did]
             dependent.waiting -= 1
@@ -590,44 +533,42 @@ def _dispatch(
         """Finish a hit or an in-process task; hand a pool task over."""
         task.state = "running"
         clock = time.perf_counter()  # check: allow(DT002) stage timing report only
-        cached = _load(charge, task, cache.get)
+        # A hit is its artifact, loaded and frozen, and its pickle.
+        cached = charge(
+            task, cache.get, lambda blob: (_loads(blob, True), blob)
+        )
         read = time.perf_counter() - clock  # check: allow(DT002) stage timing report only
         task.hit = cached is not None
         design = task.cell[0]
         netlist = designs[design] if task.stage == "synthesis" else None
         if last_reader[design] is task:
             del designs[design]
-        mine = cell_tasks[task.cell]
-        upstream = {
-            parent: artifacts[mine[parent].tid]
-            for parent in STAGE_INPUTS[task.stage]
-        }
+        upstream, inputs = {}, {}
+        for parent in STAGE_INPUTS[task.stage]:
+            up = cell_tasks[task.cell][parent]
+            upstream[parent] = artifacts[up.tid]
+            inputs[parent] = pickles.get(up.tid)
+            if all(tasks[d].state != "pending" for d in up.dependents):
+                pickles.pop(up.tid, None)
+        options = cell_options[task.cell]
         if task.hit or jobs <= 1:
-            artifact, elapsed, exc = _run_stage(
-                task.stage, task.cell, cell_options[task.cell], upstream,
-                netlist, cached,
+            artifact, blob = cached or (None, None)
+            computed, elapsed, exc = _run_stage(
+                task.stage, task.cell, options, upstream, netlist, artifact,
             )
-            finish(task, artifact, read + elapsed, exc=exc)
-            return
-        _obs.point(
-            "sched.dispatch", task=task.tid, stage=task.stage,
-            design=task.cell[0], arch=task.cell[1], priority=task.priority,
-        )
-        linked = any(
-            set(STAGE_INPUTS[tasks[d].stage]) & set(STAGE_INPUTS[task.stage])
-            for d in task.dependents
-        )
-        inputs, pickler = _ship(upstream, netlist)
-        work = (
-            _pool_task, task.stage, task.cell, cell_options[task.cell],
-            inputs, linked, _obs.active(),
-        )
-        try:
-            future = open_pool().submit(*work)
-        except BrokenProcessPool as broken:
-            abandon(broken)
-            future = open_pool().submit(*work)
-        inflight[future] = task.tid, pickler if linked else None
+            if computed is not None:
+                artifact, blob = _loads(computed, freeze=False), computed
+            finish(task, artifact, blob, read + elapsed, exc=exc)
+        else:
+            _obs.point(
+                "sched.dispatch", task=task.tid, stage=task.stage,
+                design=task.cell[0], arch=task.cell[1],
+                priority=task.priority,
+            )
+            submit(task.tid, (
+                _pool_task, task.stage, task.cell, options, inputs, netlist,
+                _obs.active(),
+            ))
 
     def open_pool() -> ProcessPoolExecutor:
         """The pool; a new one (forked after the realization tables are
@@ -638,41 +579,50 @@ def _dispatch(
             pool = ProcessPoolExecutor(max_workers=workers)
         return pool
 
+    def submit(tid: int, work: tuple) -> None:
+        try:
+            future = open_pool().submit(*work)
+        except BrokenProcessPool as broken:
+            abandon(broken)
+            future = open_pool().submit(*work)
+        inflight[future] = tid, work
+
     def abandon(broken: BrokenProcessPool) -> None:
         """A worker died (``os._exit``, a signal, the OOM killer): store
-        what finished before it did, fail every other task that was on
-        the pool, and leave the next pool task to start a fresh one."""
+        what finished before it did and hand every other task that was
+        on the pool to a fresh one, once; a task lost twice fails."""
         nonlocal pool
         pool.shutdown(wait=True, cancel_futures=True)
         pool = None
+        lost = []
         for future in list(inflight):
             if not future.cancelled() and future.exception() is None:
                 collect(future)
             else:
-                tid, _pickler = inflight.pop(future)
-                finish(tasks[tid], None, 0.0, exc=broken)
+                lost.append(inflight.pop(future))
+        for tid, work in lost:
+            if tid in retried:
+                finish(tasks[tid], None, None, 0.0, exc=broken)
+            else:
+                retried.add(tid)
+                _obs.point("sched.retry", task=tid, stage=tasks[tid].stage)
+                submit(tid, work)
 
     def collect(future) -> None:
-        tid, pickler = inflight.pop(future)
-        task = tasks[tid]
+        task = tasks[inflight[future][0]]
         try:
             blob, elapsed, task.events, error = future.result()
         except BrokenProcessPool as broken:
-            finish(task, None, 0.0, exc=broken)
             abandon(broken)
             return
-        artifact = None
-        if blob is not None and pickler is not None:
-            shipped = dict(pickler.memo.copy().values())  # index -> object
-            artifact = _load(_ArtifactUnpickler(blob, shipped).load)
-        elif blob is not None:
-            artifact = _load(pickle.loads, blob)
+        del inflight[future]
+        artifact = None if blob is None else _loads(blob, freeze=True)
         _obs.point(
             "sched.task", task=task.tid, stage=task.stage,
             design=task.cell[0], arch=task.cell[1], cached=False,
             seconds=elapsed, outcome="error" if error else "ok",
         )
-        finish(task, artifact, elapsed, error)
+        finish(task, artifact, blob, elapsed, error)
 
     def drain() -> None:
         """Start nothing new; store what the in-flight tasks return."""

@@ -1,8 +1,12 @@
 """Tests for PLB architectures, configurations, adder and Figure 5."""
 
+import pickle
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from repro.cells.celltypes import make_lut3
 from repro.core.adder import (
     AdderFunctions,
     carry_is_majority,
@@ -13,6 +17,7 @@ from repro.core.adder import (
 )
 from repro.core.configs import (
     best_config,
+    builtin_config,
     coverage_summary,
     granular_configs,
     lut_arch_configs,
@@ -29,6 +34,7 @@ from repro.core.lut_decompose import decompose_lut3, lut3_as_mux_netlist
 from repro.core.plb import (
     COMB_AREA_RATIO,
     PLB_AREA_RATIO,
+    custom_plb,
     granular_plb,
 )
 from repro.logic.truthtable import TruthTable, all_functions
@@ -116,6 +122,29 @@ class TestPLBArchitectures:
 
     def test_tile_side(self, gran_arch):
         assert gran_arch.tile_side == pytest.approx(gran_arch.area ** 0.5)
+
+    def test_pickles_by_reference(self, gran_arch, lut_arch):
+        """The built-in architectures, configurations and component cells
+        load as this process's objects; anything else loads as an equal
+        copy, pickled the same whatever order its tables were added in."""
+        for arch in (gran_arch, lut_arch):
+            assert pickle.loads(pickle.dumps(arch)) is arch
+        custom = pickle.loads(pickle.dumps(custom_plb("c", {"MUX2": 2})))
+        assert [c.name for c in custom.configs] == ["MX", "XOAMX"]
+        assert all(c is builtin_config(c.name) for c in custom.configs)
+        assert custom.slot_cells["MUX2"] is gran_arch.slot_cells["MUX2"]
+        tables = [TruthTable(3, mask) for mask in range(256)]
+        shrunk = set(tables)
+        shrunk.difference_update(tables[100:])
+        first, second = (
+            replace(make_lut3(), name="SUBLUT", feasible=frozenset(built))
+            for built in (tables[:100], shrunk)
+        )
+        assert list(first.feasible) != list(second.feasible)
+        assert pickle.dumps(first) == pickle.dumps(second)
+        assert pickle.loads(pickle.dumps(first)) == first
+        config = replace(granular_configs()[1], name="MINE")
+        assert pickle.loads(pickle.dumps(config)) == config
 
 
 class TestFullAdder:

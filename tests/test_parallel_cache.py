@@ -5,6 +5,7 @@ changes results, a cache hit is value-equal to a cold computation, and a
 corrupted cache entry is detected and recomputed rather than trusted.
 """
 
+import hashlib
 import os
 import warnings
 
@@ -158,12 +159,18 @@ class TestStageCache:
             pytest.param(
                 lambda raw: raw.partition(b"\n")[0] + b"\n", id="no-payload"
             ),
+            pytest.param(
+                lambda raw: hashlib.sha256(b"not a pickle").hexdigest().encode()
+                + b"\nnot a pickle",
+                id="digest-valid-not-a-pickle",
+            ),
         ],
     )
     def test_truncated_entry_detected_and_recomputed(
         self, tmp_path, monkeypatch, mangle
     ):
-        """Truncated entries (torn write, full disk) recompute, never crash."""
+        """Truncated entries (torn write, full disk) and payloads that do
+        not unpickle recompute, never crash."""
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         src = make_ripple_design(width=5, name="trunctest")
         cold = run_design(src.copy(), "granular", FAST)

@@ -10,23 +10,26 @@ Five contracts:
   and ``REPRO_NO_CACHE`` persist nothing, and no artifact outlives its
   run.
 * **One owner of the cache** — the calling process does every cache
-  read and write, so ``check`` audits cached stages, cache traffic is
-  the same at every job count, and evicting entries mid-run cannot
-  change a pool run.
+  read and write, so ``check`` audits cached stages, cache traffic and
+  the bytes of every entry are the same at every job count and on a
+  partly warm cache, and evicting entries mid-run cannot change a pool
+  run.
 * **Failure isolation and cancellation, at every job count** — a raising
   stage task, or one whose artifact cannot be pickled, fails only the
   cells that transitively depend on it, surfaces the original traceback,
   and leaves every other cell's finished result intact; ``cancel`` stops
   a run before its next stage.  ``TestFailureIsolation`` and
   ``TestInterruption`` run at ``jobs=2``; their ``InProcess`` subclasses
-  rerun every test at ``jobs=1``.  A pool worker that dies fails only
-  the tasks that were on its pool, as a ``StageFailure``, and the next
-  pool task starts a fresh pool (``TestKilledWorker``, ``jobs=2``).
+  rerun every test at ``jobs=1``.  A pool worker that dies costs the
+  tasks that were on its pool one rerun on a fresh pool from the same
+  input pickles; a task lost twice fails as a ``StageFailure``
+  (``TestKilledWorker``, ``jobs=2``).
 * **Collector scope** — loaded artifacts are frozen out of the cyclic
   collector while their run lasts and never after it, however it ends.
 """
 
 import gc
+import hashlib
 import os
 import shutil
 import time
@@ -36,7 +39,7 @@ import pytest
 
 from repro.flow.cache import StageCache, collect_garbage
 from repro.flow.experiments import Matrix, build_design
-from repro.flow.flow import STAGE_INPUTS, STAGES, stage_keys
+from repro.flow.flow import STAGE_INPUTS, STAGES, architecture_of, stage_keys
 from repro.flow.options import FlowOptions
 from repro.flow.parallel import run_cells
 from repro.flow.scheduler import (
@@ -56,6 +59,15 @@ FAST = FlowOptions(
 )
 CELLS = [("alu", "granular"), ("alu", "lut")]
 SCALE = 0.15
+
+
+def _entries(root):
+    """The sha256 of every stage entry under the cache ``root``."""
+    return {
+        f"{stage}/{path.name}": hashlib.sha256(path.read_bytes()).hexdigest()
+        for stage in STAGES
+        for path in sorted((root / stage).glob("*.pkl"))
+    }
 
 
 def _keys_for(cells, tag=""):
@@ -216,10 +228,12 @@ class TestParentOwnsCache:
         self, tmp_path, monkeypatch
     ):
         """Cold then warm, each job count on a fresh cache: the same
-        hits, misses and bytes, and the same stages reported cached."""
-        traffic = {}
+        hits, misses and bytes, the same stages reported cached, and
+        entries with the same bytes."""
+        traffic, entries = {}, {}
         for jobs in (1, 2):
-            monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / f"j{jobs}"))
+            root = tmp_path / f"j{jobs}"
+            monkeypatch.setenv("REPRO_CACHE_DIR", str(root))
             traffic[jobs] = []
             for _pass in ("cold", "warm"):
                 runs = run_cells(CELLS, SCALE, FAST, jobs=jobs)
@@ -227,10 +241,22 @@ class TestParentOwnsCache:
                     Matrix(runs=runs).aggregate_cache_stats(),
                     {cell: run.stage_cached for cell, run in runs.items()},
                 ))
+            entries[jobs] = _entries(root)
         assert traffic[1] == traffic[2]
         (cold_stats, _), (warm_stats, _) = traffic[2]
         assert (cold_stats.hits, cold_stats.misses) == (0, 10)
         assert (warm_stats.hits, warm_stats.misses) == (10, 0)
+        assert len(entries[1]) == 10
+        assert entries[1] == entries[2]
+
+        # A cache holding only the cold run's synthesis entries: the
+        # stages computed from the loaded synthesis write the same bytes.
+        partly = tmp_path / "synthesis-only"
+        shutil.copytree(tmp_path / "j1" / "synthesis", partly / "synthesis")
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(partly))
+        runs = run_cells(CELLS, SCALE, FAST, jobs=1)
+        assert all(run.stage_cached["synthesis"] for run in runs.values())
+        assert _entries(partly) == entries[1]
 
     def test_eviction_mid_run_cannot_affect_pool_run(
         self, tmp_path, monkeypatch
@@ -409,8 +435,9 @@ def _outcome(run):
 
 
 class TestKilledWorker:
-    """A pool worker that dies fails the tasks it took down with it as a
-    ``StageFailure``, and every other cell still completes."""
+    """A pool worker that dies costs the tasks it took down with it one
+    rerun on a fresh pool; a task lost twice fails as a ``StageFailure``,
+    and every other cell still completes."""
 
     def test_killed_worker_fails_only_its_cell(self, tmp_path, monkeypatch):
         from repro.flow import flow as flow_mod
@@ -457,9 +484,9 @@ class TestKilledWorker:
         assert _outcome(survivor) == _outcome(clean)
 
     def test_broken_pool_is_replaced(self, tmp_path, monkeypatch):
-        """A pool found broken when a task is handed over fails the task
-        it held; the handed-over task and the rest of its cell run on a
-        fresh pool."""
+        """A pool found broken when a task is handed over: the task it
+        held reruns on a fresh pool, with the handed-over task, and
+        both cells end as in a clean run."""
         from repro.flow import scheduler
 
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "clean"))
@@ -497,17 +524,39 @@ class TestKilledWorker:
         monkeypatch.setattr(scheduler, "compute_stage", hold)
         monkeypatch.setattr(scheduler, "ProcessPoolExecutor",
                             BreakOnSecondSubmit)
-        with pytest.raises(StageFailure) as excinfo:
-            run_stage_graph(CELLS, SCALE, FAST, jobs=2)
-        failure = excinfo.value
-        lost, survived = pools[0].cells
-        assert len(pools) == 2 and pools[1].cells[0] == survived
-        assert failure.cell == lost and failure.stage == "synthesis"
-        assert set(failure.failed) == {(lost, stage) for stage in STAGES}
-        assert set(failure.completed) == {survived}
-        assert _outcome(failure.completed[survived]) == _outcome(
-            clean[survived]
-        )
+        runs = run_stage_graph(CELLS, SCALE, FAST, jobs=2)
+        held_cell, handed_over = pools[0].cells
+        assert len(pools) == 2
+        assert pools[1].cells[:2] == [held_cell, handed_over]
+        for cell in CELLS:
+            assert _outcome(runs[cell]) == _outcome(clean[cell]), cell
+
+    def test_worker_killed_once_is_rerun(self, tmp_path, monkeypatch):
+        """The LUT cell's packing worker dies once: every task that was
+        on its pool reruns on a fresh pool, and the run ends with the
+        tables and cache entries of a clean run."""
+        from repro.flow import flow as flow_mod
+
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "clean"))
+        clean = run_cells(CELLS, SCALE, FAST, jobs=2)
+
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "faulty"))
+        died = tmp_path / "died"
+        real = flow_mod._pack_stage
+        parent = os.getpid()
+
+        def die_once(synthesis, physical, options):
+            if (synthesis.arch.name == "lut" and os.getpid() != parent
+                    and not died.exists()):
+                died.touch()
+                os._exit(9)
+            return real(synthesis, physical, options)
+
+        monkeypatch.setattr(flow_mod, "_pack_stage", die_once)
+        runs = run_cells(CELLS, SCALE, FAST, jobs=2)
+        assert died.exists()
+        assert _table_text(runs) == _table_text(clean)
+        assert _entries(tmp_path / "faulty") == _entries(tmp_path / "clean")
 
 
 class TestStageModeJournal:
@@ -702,6 +751,24 @@ def one_cell_cache(tmp_path_factory):
         patch.setenv("REPRO_CACHE_DIR", str(root))
         run_cells(CELLS[:1], SCALE, FAST, jobs=1)
     return root
+
+
+def test_loaded_artifacts_share_the_library(
+    tmp_path, monkeypatch, one_cell_cache
+):
+    """Component cells and the built-in architectures pickle as references,
+    so every artifact loaded from the cache uses this process's objects."""
+    shutil.copytree(one_cell_cache, tmp_path / "cache")
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+    run = run_cells(CELLS[:1], SCALE, FAST, jobs=1)[CELLS[0]]
+    assert all(run.stage_cached.values())
+    arch = architecture_of(CELLS[0][1])
+    assert run.synthesis.arch is arch
+    for netlist in (
+        run.synthesis.netlist, run.physical.netlist, run.packed.netlist
+    ):
+        for inst in netlist.instances.values():
+            assert inst.cell is arch.library.cell(inst.cell.name)
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
