@@ -1,14 +1,11 @@
-"""Gate-level netlist substrate: structure, builder, simulation, I/O."""
+"""Gate-level netlist substrate: structure, builder, I/O.
+
+The bit-parallel simulator is imported as :mod:`repro.netlist.simulate`;
+no flow stage runs it.
+"""
 
 from .core import Instance, Net, Netlist, NetlistError
 from .build import CONST0, CONST1, NetlistBuilder, capture_cell, is_capture
-from .simulate import (
-    evaluate_combinational,
-    outputs_equal,
-    random_vectors,
-    simulate,
-    simulate_stream,
-)
 from .stats import NetlistStats, cell_histogram, gather, nand2_equivalents, total_area
 from .validate import check, validate
 from .verilog import read_verilog, write_verilog
@@ -23,11 +20,6 @@ __all__ = [
     "NetlistBuilder",
     "capture_cell",
     "is_capture",
-    "evaluate_combinational",
-    "outputs_equal",
-    "random_vectors",
-    "simulate",
-    "simulate_stream",
     "NetlistStats",
     "cell_histogram",
     "gather",

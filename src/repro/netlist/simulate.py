@@ -1,51 +1,73 @@
 """Bit-parallel netlist simulation.
 
-Signals are numpy ``uint64`` arrays; each bit lane is an independent test
-vector, so one pass evaluates 64 * n_words vectors.  Sequential designs are
-simulated cycle by cycle with explicit DFF state.  Simulation is the
-equivalence oracle used throughout the flow: every transformation stage
-(mapping, compaction, packing, buffering) must preserve these outputs.
+A signal's value is one non-negative Python int: bit ``k`` is the signal
+in lane ``k``, and each lane is an independent test vector.
+:func:`random_vectors` draws ``64 * n_words`` lanes per input.  A run
+spans its widest stimulus value rounded up to whole 64-bit words, and a
+complement is taken as ``full ^ v`` against that all-ones width, so every
+value stays inside the run's lanes.  Sequential designs are simulated
+cycle by cycle with explicit DFF state.  Simulation is the equivalence
+oracle of the flow's tests and of ``repro.check``: every transformation
+stage (mapping, compaction, packing, buffering) must preserve these
+outputs.
 """
 
 from __future__ import annotations
 
+import random
 from typing import Dict, List, Optional, Sequence
 
-import numpy as np
-
 from ..logic.truthtable import TruthTable
-from .core import Netlist, NetlistError
+from .core import Instance, Netlist, NetlistError
 
-Vectors = Dict[str, np.ndarray]
+Vectors = Dict[str, int]
 
 
 def random_vectors(
     names: Sequence[str], n_words: int = 4, seed: int = 0
 ) -> Vectors:
-    """Random stimulus: one uint64 array of ``n_words`` per name."""
-    rng = np.random.default_rng(seed)
-    return {
-        name: rng.integers(0, np.iinfo(np.uint64).max, size=n_words, dtype=np.uint64)
-        for name in names
-    }
+    """Random stimulus: ``64 * n_words`` lanes per name, drawn from
+    ``random.Random(seed)`` in ``names`` order."""
+    rng = random.Random(seed)
+    return {name: rng.getrandbits(64 * n_words) for name in names}
 
 
-def _eval_config(config: TruthTable, inputs: List[np.ndarray]) -> np.ndarray:
-    """Evaluate a cell configuration bitwise over vector inputs."""
-    shape = inputs[0].shape if inputs else (1,)
-    result = np.zeros(shape, dtype=np.uint64)
-    ones = np.full(shape, np.iinfo(np.uint64).max, dtype=np.uint64)
+def _full(groups: Sequence[Optional[Vectors]]) -> int:
+    """All ones over the lanes ``groups`` span (at least one word)."""
+    width = 0
+    for group in groups:
+        for name, value in (group or {}).items():
+            if value < 0:
+                raise NetlistError(f"vector for {name!r} is negative")
+            width = max(width, value.bit_length())
+    return (1 << (64 * max(1, -(-width // 64)))) - 1
+
+
+def _eval_config(config: TruthTable, inputs: List[int], full: int) -> int:
+    """Evaluate a cell configuration bitwise over lane ints."""
+    result = 0
     for row in range(1 << config.n_inputs):
         if not (config.mask >> row) & 1:
             continue
-        term = ones.copy()
+        term = full
         for i, value in enumerate(inputs):
-            if (row >> i) & 1:
-                term &= value
-            else:
-                term &= ~value
+            term &= value if (row >> i) & 1 else full ^ value
         result |= term
     return result
+
+
+def _settle(order: List[Instance], values: Vectors, full: int) -> Vectors:
+    """Every net's value after evaluating ``order`` over ``values``."""
+    state: Vectors = dict(values)
+    for inst in order:
+        ins = []
+        for net in inst.input_nets():
+            if net not in state:
+                raise NetlistError(f"net {net!r} has no value during evaluation")
+            ins.append(state[net])
+        assert inst.config is not None
+        state[inst.output_net] = _eval_config(inst.config, ins, full)
+    return state
 
 
 def evaluate_combinational(
@@ -56,16 +78,7 @@ def evaluate_combinational(
     ``values`` must define every primary input and every DFF output net.
     Returns values for every net.
     """
-    state: Vectors = dict(values)
-    for inst in netlist.topological_order():
-        ins = []
-        for net in inst.input_nets():
-            if net not in state:
-                raise NetlistError(f"net {net!r} has no value during evaluation")
-            ins.append(state[net])
-        assert inst.config is not None
-        state[inst.output_net] = _eval_config(inst.config, ins)
-    return state
+    return _settle(netlist.topological_order(), values, _full([values]))
 
 
 def simulate(
@@ -77,32 +90,15 @@ def simulate(
     """Simulate ``n_cycles`` clock cycles.
 
     The same input vectors are applied every cycle (sufficient for
-    equivalence checking; supply per-cycle stimulus by calling repeatedly).
-    Returns, per cycle, the value of every net after combinational settling.
-    DFF state starts at zero unless ``initial_state`` gives Q values.
+    equivalence checking; :func:`simulate_stream` takes per-cycle
+    stimulus).  Returns, per cycle, the value of every net after
+    combinational settling.  DFF state starts at zero unless
+    ``initial_state`` gives Q values.
     """
     missing = [name for name in netlist.inputs if name not in input_vectors]
     if missing:
         raise NetlistError(f"missing input vectors for {missing}")
-    shape = next(iter(input_vectors.values())).shape if input_vectors else (1,)
-
-    dffs = list(netlist.sequential_instances())
-    state: Vectors = {}
-    for dff in dffs:
-        q_net = dff.output_net
-        if initial_state and q_net in initial_state:
-            state[q_net] = initial_state[q_net].astype(np.uint64)
-        else:
-            state[q_net] = np.zeros(shape, dtype=np.uint64)
-
-    history: List[Vectors] = []
-    for _ in range(n_cycles):
-        values = dict(input_vectors)
-        values.update(state)
-        settled = evaluate_combinational(netlist, values)
-        history.append(settled)
-        state = {dff.output_net: settled[dff.pin_nets["D"]] for dff in dffs}
-    return history
+    return simulate_stream(netlist, [input_vectors] * n_cycles, initial_state)
 
 
 def simulate_stream(
@@ -118,15 +114,11 @@ def simulate_stream(
     """
     if not stimulus:
         return []
-    shape = next(iter(stimulus[0].values())).shape if stimulus[0] else (1,)
+    full = _full([initial_state, *stimulus])
+    order = netlist.topological_order()
     dffs = list(netlist.sequential_instances())
-    state: Vectors = {}
-    for dff in dffs:
-        q_net = dff.output_net
-        if initial_state and q_net in initial_state:
-            state[q_net] = initial_state[q_net].astype(np.uint64)
-        else:
-            state[q_net] = np.zeros(shape, dtype=np.uint64)
+    initial = initial_state or {}
+    state = {dff.output_net: initial.get(dff.output_net, 0) for dff in dffs}
 
     history: List[Vectors] = []
     for cycle, vectors in enumerate(stimulus):
@@ -135,7 +127,7 @@ def simulate_stream(
             raise NetlistError(f"cycle {cycle}: missing inputs {missing}")
         values = dict(vectors)
         values.update(state)
-        settled = evaluate_combinational(netlist, values)
+        settled = _settle(order, values, full)
         history.append(settled)
         state = {dff.output_net: settled[dff.pin_nets["D"]] for dff in dffs}
     return history
@@ -162,8 +154,8 @@ def outputs_equal(
     vectors = random_vectors(a.inputs, n_words=n_words, seed=seed)
     hist_a = simulate(a, vectors, n_cycles=n_cycles)
     hist_b = simulate(b, vectors, n_cycles=n_cycles)
-    for cycle_a, cycle_b in zip(hist_a, hist_b):
-        for out in a.outputs:
-            if not np.array_equal(cycle_a[out], cycle_b[out]):
-                return False
-    return True
+    return all(
+        cycle_a[out] == cycle_b[out]
+        for cycle_a, cycle_b in zip(hist_a, hist_b)
+        for out in a.outputs
+    )

@@ -38,19 +38,12 @@ def journal_dir() -> Path:
 
 def environment_fingerprint() -> Dict:
     """Reproducibility context recorded in every journal's meta event."""
-    try:
-        import numpy
-
-        numpy_version: Optional[str] = numpy.__version__
-    except ImportError:  # pragma: no cover - numpy is a soft dependency
-        numpy_version = None
     return {
         "python": platform.python_version(),
         "implementation": platform.python_implementation(),
         "platform": platform.platform(),
         "machine": platform.machine(),
         "cpu_count": os.cpu_count(),
-        "numpy": numpy_version,
         "argv": list(sys.argv),
         "env": {
             k: v for k, v in sorted(os.environ.items())

@@ -118,3 +118,27 @@ def lut_timing(lut_lib):
 @pytest.fixture(scope="session")
 def gran_timing(gran_lib):
     return characterize_library(gran_lib)
+
+
+@pytest.fixture(scope="session")
+def self_lint_findings():
+    """``lint_paths()`` over the default tree (all of ``src/repro``),
+    computed once per session: the tree does not change while the tests
+    run, and each full lint costs over a second."""
+    from repro.check import lint_paths
+
+    return tuple(lint_paths())
+
+
+@pytest.fixture
+def self_lint_once(monkeypatch, self_lint_findings):
+    """Make ``repro check --self`` report the session's default lint
+    result; a lint of explicit paths still runs."""
+    import repro.check
+
+    lint_paths = repro.check.lint_paths
+
+    def memoized(paths=None):
+        return list(self_lint_findings) if paths is None else lint_paths(paths)
+
+    monkeypatch.setattr(repro.check, "lint_paths", memoized)

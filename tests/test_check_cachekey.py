@@ -114,8 +114,10 @@ class TestCK003Impurity:
 
 
 class TestHeadIsCoherent:
-    def test_shipped_flow_has_no_ck_findings(self):
-        assert [f for f in lint_paths() if f.rule_id == "CK003"] == []
+    def test_shipped_flow_has_no_ck_findings(self, self_lint_findings):
+        assert [
+            f for f in self_lint_findings if f.rule_id == "CK003"
+        ] == []
 
 
 class TestReachesStageCode:
@@ -163,14 +165,14 @@ class TestCli:
         for rule_id in ("CK001", "CK002", "CK004", "CK005"):
             assert rule_id not in out
 
-    def test_self_ck_family_is_clean(self, capsys):
+    def test_self_ck_family_is_clean(self, capsys, self_lint_once):
         assert main(
             ["check", "--self", "--rules", "CK",
              "--fail-on", "warning"]
         ) == 0
         assert "cache-key coherence" in capsys.readouterr().out
 
-    def test_self_ck_sarif(self, capsys):
+    def test_self_ck_sarif(self, capsys, self_lint_once):
         assert main(
             ["-q", "check", "--self", "--rules", "CK", "--sarif"]
         ) == 0

@@ -21,6 +21,7 @@ class TestListRules:
         assert "Figure" in out or "Section" in out
 
 
+@pytest.mark.usefixtures("self_lint_once")
 class TestSelfLint:
     def test_self_lint_is_clean(self, capsys):
         assert main(["-q", "check", "--self", "--fail-on", "warning"]) == 0

@@ -17,7 +17,7 @@ import json
 
 import pytest
 
-from repro.check import REGISTRY, lint_paths, lint_source
+from repro.check import REGISTRY, lint_source
 from repro.check.selflint import default_lint_root
 from repro.cli import main
 
@@ -279,8 +279,10 @@ class TestOneLock:
 
 
 class TestRepoIsClean:
-    def test_repro_package_has_no_cc_findings(self):
-        assert [f for f in lint_paths() if f.rule_id.startswith("CC")] == []
+    def test_repro_package_has_no_cc_findings(self, self_lint_findings):
+        assert [
+            f for f in self_lint_findings if f.rule_id.startswith("CC")
+        ] == []
 
 
 class TestFamilySelection:
@@ -305,14 +307,14 @@ class TestFamilySelection:
 
 
 class TestCheckCli:
-    def test_self_with_cc_family_is_clean(self, capsys):
+    def test_self_with_cc_family_is_clean(self, capsys, self_lint_once):
         assert main([
             "-q", "check", "--self", "--rules", "CC",
             "--fail-on", "warning",
         ]) == 0
         assert "no findings" in capsys.readouterr().out
 
-    def test_self_runs_both_families_clean(self, capsys):
+    def test_self_runs_both_families_clean(self, capsys, self_lint_once):
         assert main(["-q", "check", "--self", "--fail-on", "warning"]) == 0
 
     def test_list_rules_groups_by_family(self, capsys):
@@ -325,7 +327,7 @@ class TestCheckCli:
         assert "concurrency" in lines[cc_header]
         assert lines[cc_header + 1].strip().startswith("CC002")
 
-    def test_sarif_carries_cc_rules(self, capsys):
+    def test_sarif_carries_cc_rules(self, capsys, self_lint_once):
         assert main([
             "-q", "check", "--self", "--rules", "CC", "--sarif",
         ]) == 0

@@ -121,8 +121,8 @@ class TestRunArtifacts:
 
 
 class TestSelfLintOnRepo:
-    def test_src_repro_is_determinism_clean(self):
-        findings = lint_paths()
+    def test_src_repro_is_determinism_clean(self, self_lint_findings):
+        findings = list(self_lint_findings)
         assert findings == [], "\n".join(f.format() for f in findings)
 
     def test_each_file_is_parsed_once_for_all_families(self, monkeypatch):

@@ -638,9 +638,10 @@ class TestStageModeJournal:
 class TestInterruption:
     """Graceful interruption: the ``cancel`` hook stops a run before its
     next stage at every job count, and at ``jobs=2`` both it and
-    KeyboardInterrupt store what the in-flight pool tasks return, shut
-    the pool down in order and leave no temporary directory behind (the
-    serve executor's cancellation path rides on this)."""
+    KeyboardInterrupt store what the in-flight pool tasks return and shut
+    the pool down in order.  Either way the run leaves a loadable entry
+    per completed task, no temporary file and nothing frozen (the serve
+    executor's cancellation path rides on this)."""
 
     jobs = 2
 
@@ -691,39 +692,59 @@ class TestInterruption:
         assert err.value.done == 1
         assert not (cache / "physical").exists()
 
-    def test_interrupted_transport_dir_is_cleaned(
+    def _assert_orderly_leftovers(self, cache, done=None):
+        """What an interrupted run must leave behind: an entry for each
+        completed task that loads cleanly, no temporary file, and no
+        object frozen out of the collector."""
+        assert gc.get_freeze_count() == 0
+        assert list(cache.rglob("*.tmp")) == []
+        store = StageCache(cache)
+        expected = {
+            (stage, key)
+            for design, arch in CELLS
+            for stage, key in stage_keys(
+                store, build_design(design, SCALE), FAST.with_arch(arch)
+            ).items()
+        }
+        entries = [
+            (stage, path.stem)
+            for stage in STAGES
+            for path in sorted((cache / stage).glob("*.pkl"))
+        ]
+        assert entries and set(entries) <= expected
+        if done is not None:
+            assert len(entries) == done
+        for stage, key in entries:
+            assert store.get(stage, key) is not None, (stage, key)
+        assert store.stats.corrupt == 0
+
+    def test_cancel_leaves_loadable_entries_and_no_tmp(
         self, tmp_path, monkeypatch
     ):
-        import tempfile
-
-        transport_root = tmp_path / "transport"
-        transport_root.mkdir()
-        monkeypatch.setattr(tempfile, "tempdir", str(transport_root))
-        options = replace(FAST, use_cache=False)
-        with pytest.raises(FlowCancelled):
-            run_cells(CELLS, SCALE, options, jobs=self.jobs,
-                      cancel=lambda: True)
-        leftovers = list(transport_root.iterdir())
-        assert leftovers == [], f"transport dirs leaked: {leftovers}"
+        cache = tmp_path / "cache"
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(cache))
+        polls = iter([False] * 3 + [True] * 200)
+        with pytest.raises(FlowCancelled) as err:
+            run_cells(CELLS, SCALE, FAST, jobs=self.jobs,
+                      cancel=lambda: next(polls))
+        self._assert_orderly_leftovers(cache, done=err.value.done)
 
     def test_keyboard_interrupt_takes_orderly_path(
         self, tmp_path, monkeypatch
     ):
-        import tempfile
-
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-        transport_root = tmp_path / "transport"
-        transport_root.mkdir()
-        monkeypatch.setattr(tempfile, "tempdir", str(transport_root))
+        cache = tmp_path / "cache"
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(cache))
+        polls = iter([False] * 3)
 
         def interrupted():
-            raise KeyboardInterrupt
+            if next(polls, None) is None:
+                raise KeyboardInterrupt
+            return False
 
-        options = replace(FAST, use_cache=False)
         with pytest.raises(KeyboardInterrupt):
-            run_cells(CELLS, SCALE, options, jobs=self.jobs,
+            run_cells(CELLS, SCALE, FAST, jobs=self.jobs,
                       cancel=interrupted)
-        assert list(transport_root.iterdir()) == []
+        self._assert_orderly_leftovers(cache)
 
     def test_partial_results_resume_warm(self, tmp_path, monkeypatch):
         """A cancelled matrix rerun reuses every completed stage."""
