@@ -18,6 +18,10 @@ Commands
     status reflects ``--fail-on``.
 ``tables``
     Regenerate the paper's Tables 1 and 2 (plus the compaction summary).
+``results``
+    Rewrite every generated artifact under the current directory: the
+    ``results/*.txt`` files, ``results_fullscale.txt`` and the generated
+    blocks of ``EXPERIMENTS.md`` (see ``repro.flow.results.ARTIFACTS``).
 ``explore``
     Rank candidate PLB architectures with the granularity explorer.
 ``vias``
@@ -260,36 +264,25 @@ def _cmd_tables(args: argparse.Namespace, reporter: Reporter) -> int:
     return 0
 
 
-def _cmd_explore(_args: argparse.Namespace, reporter: Reporter) -> int:
-    from .core.explorer import GranularityExplorer, paper_candidates
+def _cmd_results(_args: argparse.Namespace, reporter: Reporter) -> int:
+    from .flow.results import write_results
 
-    explorer = GranularityExplorer()
-    reporter.out(
-        f"{'candidate':16s} {'area':>7s} {'no-LUT':>7s} {'FA':>5s} {'score':>8s}"
-    )
-    for candidate, metrics, score in explorer.rank(paper_candidates()):
-        reporter.out(
-            f"{metrics.name:16s} {metrics.total_area:7.1f} "
-            f"{metrics.lut_free_coverage:7d} "
-            f"{str(metrics.full_adder_in_one_plb):>5s} {score:8.2f}"
-        )
+    for key in write_results(Path.cwd()):
+        reporter.info(f"wrote {key}")
+    return 0
+
+
+def _cmd_explore(_args: argparse.Namespace, reporter: Reporter) -> int:
+    from .flow.results import format_granularity_ranking
+
+    reporter.out(format_granularity_ranking())
     return 0
 
 
 def _cmd_vias(_args: argparse.Namespace, reporter: Reporter) -> int:
-    from .core.vias import granularity_cost_comparison
+    from .flow.results import format_via_costs
 
-    reporter.out("Via-programmability cost per PLB (paper Section 1's argument):")
-    for name, stats in granularity_cost_comparison().items():
-        reporter.out(f"  {name}:")
-        reporter.out(
-            f"    potential via sites:   {stats['potential_sites']:8.0f}")
-        reporter.out(
-            f"    via-site silicon area: {stats['via_site_area_um2']:8.1f} um^2 "
-            f"({stats['site_area_fraction']:.1%} of the PLB)")
-        reporter.out(
-            f"    SRAM-bit equivalent:   {stats['sram_equivalent_area_um2']:8.1f} um^2 "
-            f"({stats['sram_area_fraction']:.1f}x the PLB itself)")
+    reporter.out(format_via_costs())
     return 0
 
 
@@ -660,6 +653,10 @@ def build_parser() -> argparse.ArgumentParser:
     tables.add_argument("--trace", action="store_true",
                         help="record one merged run journal for the matrix")
 
+    sub.add_parser(
+        "results", help="rewrite results/, results_fullscale.txt and "
+                        "EXPERIMENTS.md's generated blocks"
+    )
     sub.add_parser("explore", help="rank candidate PLB architectures")
     sub.add_parser("vias", help="via-programmability cost comparison")
 
@@ -789,6 +786,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         "run": _cmd_flow,
         "check": _cmd_check,
         "tables": _cmd_tables,
+        "results": _cmd_results,
         "explore": _cmd_explore,
         "vias": _cmd_vias,
         "trace": _cmd_trace,

@@ -1,21 +1,21 @@
 """Experiment drivers regenerating the paper's tables and figures.
 
-The full evaluation matrix (4 designs x 2 PLB architectures x flows a/b)
-is computed once per process and shared by the Table 1 (area) and Table 2
-(timing) reports, exactly as in the paper where both tables come from the
-same runs.
+One evaluation matrix (4 designs x 2 PLB architectures x flows a/b)
+feeds both the Table 1 (area) and Table 2 (timing) reports, exactly as in
+the paper where both tables come from the same runs.
 
-Design sizes scale with the ``REPRO_SCALE`` environment variable
-(default 1.0; DESIGN.md explains why the paper's absolute gate counts are
-scaled down for a pure-Python flow).
+Design sizes scale with an explicit ``scale`` argument (default 1.0;
+DESIGN.md explains why the paper's absolute gate counts are scaled down
+for a pure-Python flow).
+
+:mod:`repro.flow.results` turns these reports into the committed
+artifacts (``repro results``).
 """
 
 from __future__ import annotations
 
 import math
-import os
-import warnings
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from ..core.s3 import category_counts, modified_s3_implementable, s3_feasible_set
@@ -23,32 +23,12 @@ from ..designs import build_alu, build_firewire, build_fpu, build_netswitch
 from ..netlist.core import Netlist
 from .cache import CacheStats
 from .flow import DesignRun
-from .options import PERF_KNOBS, FlowOptions
+from .options import FlowOptions
 from .parallel import run_cells
 
 ARCHES = ("granular", "lut")
 DESIGNS = ("alu", "firewire", "fpu", "netswitch")
 DATAPATH_DESIGNS = ("alu", "fpu", "netswitch")
-
-
-def design_scale() -> float:
-    """Global design-size scale from ``REPRO_SCALE`` (default 1.0).
-
-    An unparsable value falls back to 1.0 but warns loudly — a silently
-    ignored ``REPRO_SCALE`` would make a misconfigured full-scale run
-    look like a default-scale one.
-    """
-    raw = os.environ.get("REPRO_SCALE", "1.0")
-    try:
-        return float(raw)
-    except ValueError:
-        warnings.warn(
-            f"REPRO_SCALE={raw!r} is not a valid float; "
-            "falling back to scale 1.0",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        return 1.0
 
 
 def check_scale(scale: float) -> float:
@@ -60,13 +40,12 @@ def check_scale(scale: float) -> float:
     return scale
 
 
-def build_design(name: str, scale: Optional[float] = None) -> Netlist:
+def build_design(name: str, scale: float = 1.0) -> Netlist:
     """Instantiate one benchmark design at the requested scale.
 
-    Raises ValueError for a non-finite or non-positive scale (whether
-    passed in or read from ``REPRO_SCALE``).
+    Raises ValueError for a non-finite or non-positive scale.
     """
-    s = check_scale(design_scale() if scale is None else scale)
+    s = check_scale(scale)
     if name == "alu":
         return build_alu(width=max(4, round(16 * s)))
     if name == "firewire":
@@ -117,36 +96,22 @@ class Matrix:
         return "\n".join(lines)
 
 
-_matrix_cache: Dict[Tuple, Matrix] = {}
-
-
 def run_matrix(
     options: Optional[FlowOptions] = None,
     designs: Tuple[str, ...] = DESIGNS,
-    scale: Optional[float] = None,
+    scale: float = 1.0,
     jobs: Optional[int] = None,
 ) -> Matrix:
-    """Run (and memoize) the evaluation matrix.
+    """Run the evaluation matrix.
 
     ``jobs`` fans the independent (design, arch) cells out over worker
-    processes (default: ``options.jobs``; 1 = serial).  The in-process
-    memo is keyed on the scale, the designs and every options field that
-    can change a result, so it leaves out exactly the
-    :data:`~repro.flow.options.PERF_KNOBS`, the worker count among them.
+    processes (default: ``options.jobs``; 1 = serial).  A rerun in the
+    same or a later process is warm through the stage cache.
     """
     options = options or default_options()
-    s = design_scale() if scale is None else scale
-    key = (s, designs) + tuple(
-        getattr(options, f.name) for f in fields(options)
-        if f.name not in PERF_KNOBS
-    )
-    if key in _matrix_cache:
-        return _matrix_cache[key]
     cells = [(design, arch) for design in designs for arch in ARCHES]
-    runs = run_cells(cells, s, options, jobs=options.jobs if jobs is None else jobs)
-    matrix = Matrix(runs=runs)
-    _matrix_cache[key] = matrix
-    return matrix
+    runs = run_cells(cells, scale, options, jobs=options.jobs if jobs is None else jobs)
+    return Matrix(runs=runs)
 
 
 # ----------------------------------------------------------------------
@@ -241,8 +206,7 @@ class Table1:
         return "\n".join(lines)
 
 
-def run_table1(matrix: Optional[Matrix] = None) -> Table1:
-    matrix = matrix or run_matrix()
+def run_table1(matrix: Matrix) -> Table1:
     rows = {}
     for design in dict.fromkeys(d for d, _a in matrix.runs):
         gran = matrix.run(design, "granular")
@@ -334,8 +298,7 @@ class Table2:
         return "\n".join(lines)
 
 
-def run_table2(matrix: Optional[Matrix] = None) -> Table2:
-    matrix = matrix or run_matrix()
+def run_table2(matrix: Matrix) -> Table2:
     rows = {}
     period = 0.5
     for design in dict.fromkeys(d for d, _a in matrix.runs):
@@ -412,11 +375,11 @@ class CompactionSummary:
         return "\n".join(lines)
 
 
-def run_compaction_summary(matrix: Optional[Matrix] = None) -> CompactionSummary:
-    matrix = matrix or run_matrix()
+def run_compaction_summary(matrix: Matrix) -> CompactionSummary:
     return CompactionSummary(
         reductions={
             key: run.synthesis.compaction.reduction
             for key, run in matrix.runs.items()
         }
     )
+

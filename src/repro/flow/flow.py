@@ -582,7 +582,7 @@ def run_design(
 
     ``netlist`` is a :class:`~repro.netlist.core.Netlist`, or a design
     name from :data:`repro.designs.DESIGN_BUILDERS` (``"alu"``,
-    ``"netswitch"``, ...) built at the ambient ``REPRO_SCALE``.
+    ``"netswitch"``, ...) built at scale 1.0.
 
     ``arch`` is ``"lut"``, ``"granular"``, a registered custom name, or a
     :class:`~repro.core.plb.PLBArchitecture` instance (registered
@@ -619,9 +619,9 @@ def run_design(
                 f"unknown design name {netlist!r} "
                 f"(choices: {sorted(DESIGN_BUILDERS)})"
             )
-        from .experiments import build_design, design_scale
+        from .experiments import build_design
 
-        netlist = build_design(netlist, design_scale())
+        netlist = build_design(netlist)
     elif not isinstance(netlist, Netlist):
         raise TypeError(
             "run_design expects a Netlist or a design name (str), "

@@ -112,25 +112,14 @@ class TestPackingLoopDetails:
 
 
 class TestExperimentHelpers:
-    def test_design_scale_env(self, monkeypatch):
-        from repro.flow.experiments import design_scale
-
-        monkeypatch.setenv("REPRO_SCALE", "0.25")
-        assert design_scale() == 0.25
-        monkeypatch.setenv("REPRO_SCALE", "not-a-number")
-        assert design_scale() == 1.0
-
     @pytest.mark.parametrize(
         "scale", [0.0, -1.0, float("nan"), float("inf"), float("-inf")]
     )
-    def test_build_design_rejects_bad_scale(self, scale, monkeypatch):
+    def test_build_design_rejects_bad_scale(self, scale):
         from repro.flow.experiments import build_design
 
         with pytest.raises(ValueError, match="finite number > 0"):
             build_design("alu", scale)
-        monkeypatch.setenv("REPRO_SCALE", repr(scale))
-        with pytest.raises(ValueError, match="finite number > 0"):
-            build_design("alu")
 
     @pytest.mark.parametrize("argv", [
         ["flow", "alu", "--scale", "0"],
@@ -179,63 +168,6 @@ class TestExperimentHelpers:
             main(["-q"] + argv)
         assert exc.value.code == 2
         assert "--effort:" in capsys.readouterr().err
-
-    def test_matrix_memoization(self, monkeypatch):
-        import repro.flow.experiments as exp
-
-        calls = []
-        # Patch the matrix runner run_matrix resolves.
-        monkeypatch.setattr(
-            exp, "run_cells",
-            lambda cells, scale, options, jobs: calls.append(cells) or
-            dict.fromkeys(cells),
-        )
-        exp._matrix_cache.clear()
-        m1 = exp.run_matrix(designs=("alu",), scale=0.2)
-        n_calls = len(calls)
-        assert n_calls > 0
-        m2 = exp.run_matrix(designs=("alu",), scale=0.2)
-        assert m2 is m1
-        assert len(calls) == n_calls
-        exp._matrix_cache.clear()
-
-    def test_matrix_memo_keys_every_result_field(self, monkeypatch):
-        """A result-changing option runs a new matrix; a perf knob does
-        not."""
-        from dataclasses import fields, replace
-
-        import repro.flow.experiments as exp
-        from repro.flow.options import PERF_KNOBS
-
-        calls = []
-        monkeypatch.setattr(
-            exp, "run_cells",
-            lambda cells, scale, options, jobs: calls.append(options) or
-            dict.fromkeys(cells),
-        )
-        exp._matrix_cache.clear()
-        base = exp.default_options()
-        m1 = exp.run_matrix(base, designs=("alu",), scale=0.2)
-        knobs = {"jobs": 2, "use_cache": False, "observe": True,
-                 "check": True}
-        assert set(knobs) == PERF_KNOBS
-        assert exp.run_matrix(
-            replace(base, **knobs), designs=("alu",), scale=0.2
-        ) is m1
-        # ``arch`` is left out: every cell runs with its own.
-        changed = [
-            f.name for f in fields(base)
-            if f.name not in PERF_KNOBS and f.name != "arch"
-        ]
-        for name in changed:
-            value = getattr(base, name)
-            other = (not value) if isinstance(value, bool) else value + 1
-            matrix = exp.run_matrix(
-                replace(base, **{name: other}), designs=("alu",), scale=0.2
-            )
-            assert matrix is not m1, name
-        assert len(calls) == 1 + len(changed)
-        exp._matrix_cache.clear()
 
     def test_table_formats_are_strings(self):
         from repro.flow.experiments import run_figure2

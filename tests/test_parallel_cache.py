@@ -7,7 +7,6 @@ corrupted cache entry is detected and recomputed rather than trusted.
 
 import hashlib
 import os
-import warnings
 
 import pytest
 
@@ -17,7 +16,7 @@ from repro.flow.cache import (
     canonical_netlist,
     stable_hash,
 )
-from repro.flow.experiments import Matrix, design_scale, run_table1, run_table2
+from repro.flow.experiments import Matrix, run_table1, run_table2
 from repro.flow.flow import run_design
 from repro.flow.options import FlowOptions
 from repro.flow.parallel import resolve_jobs, run_cells
@@ -248,15 +247,3 @@ class TestPerformanceReport:
         assert "cache:" in report
         assert run.total_seconds > 0
 
-
-class TestDesignScaleWarning:
-    def test_bad_scale_warns_with_value(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SCALE", "garbage-value")
-        with pytest.warns(RuntimeWarning, match="garbage-value"):
-            assert design_scale() == 1.0
-
-    def test_good_scale_silent(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SCALE", "0.75")
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert design_scale() == 0.75

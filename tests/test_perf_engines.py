@@ -608,15 +608,13 @@ class TestRunDesignByName:
         use_cache=False,
     )
 
-    def test_design_name_resolves(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SCALE", "0.15")
+    def test_design_name_resolves(self):
         run = run_design("alu", "lut", self.FAST)
         assert run.design == "alu"
 
-    def test_name_equals_explicit_netlist(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SCALE", "0.15")
+    def test_name_equals_explicit_netlist(self):
         by_name = run_design("alu", "lut", self.FAST)
-        explicit = run_design(build_design("alu", 0.15), "lut", self.FAST)
+        explicit = run_design(build_design("alu", 1.0), "lut", self.FAST)
         assert by_name.flow_a.die_area == explicit.flow_a.die_area
         assert by_name.flow_b.die_area == explicit.flow_b.die_area
 
