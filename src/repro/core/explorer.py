@@ -7,8 +7,7 @@ candidate PLB from component slots, and get architecture-level metrics —
 area, 3-input function coverage without a LUT, full-adder packability, and
 an intrinsic-delay profile — plus a ranking across candidates.
 
-This powers the ablation benchmark (``bench_ablation_granularity``) and the
-``granularity_exploration.py`` example.
+This powers ``results/ablation_granularity.txt`` and ``repro explore``.
 """
 
 from __future__ import annotations

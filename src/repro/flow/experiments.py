@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 from ..core.s3 import category_counts, modified_s3_implementable, s3_feasible_set
 from ..designs import build_alu, build_firewire, build_fpu, build_netswitch
@@ -31,9 +31,10 @@ DESIGNS = ("alu", "firewire", "fpu", "netswitch")
 DATAPATH_DESIGNS = ("alu", "fpu", "netswitch")
 
 
-def check_scale(scale: float) -> float:
+def check_scale(scale: Any) -> float:
     """Return ``scale`` if it is a finite number > 0, else raise ValueError."""
-    if not (math.isfinite(scale) and scale > 0):
+    if not (isinstance(scale, (int, float)) and math.isfinite(scale)
+            and scale > 0):
         raise ValueError(
             f"design scale must be a finite number > 0, got {scale!r}"
         )
@@ -43,7 +44,7 @@ def check_scale(scale: float) -> float:
 def build_design(name: str, scale: float = 1.0) -> Netlist:
     """Instantiate one benchmark design at the requested scale.
 
-    Raises ValueError for a non-finite or non-positive scale.
+    Raises ValueError unless ``scale`` is a finite number > 0.
     """
     s = check_scale(scale)
     if name == "alu":

@@ -311,7 +311,7 @@ def synthesize(netlist: Netlist, options: SynthesisOptions) -> SynthesisResult:
     pre_netlist = mapped.copy()
     if options.run_compaction:
         with _obs.span("synth.compact", arch=options.arch):
-            mapped, report = compact_to_fixpoint(mapped, options.arch, library)
+            mapped, report = compact_to_fixpoint(mapped, library)
     else:
         area = pre_stats.total_area
         report = CompactionReport(
@@ -646,7 +646,7 @@ def run_design(
             "run_design", design=netlist.name, arch=arch, seed=options.seed
         ):
             run = run_stage_graph(
-                [cell], None, options, jobs=1, cancel=cancel,
+                [cell], options=options, cancel=cancel,
                 netlists={netlist.name: netlist}, cache=cache,
                 progress=progress,
             )[cell]

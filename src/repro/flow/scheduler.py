@@ -344,9 +344,9 @@ def _warm_tables(arch_names: Sequence[str]) -> None:
 
 def run_stage_graph(
     cells: Sequence[Cell],
-    scale: Optional[float],
-    options: FlowOptions,
-    jobs: int,
+    scale: float = 1.0,
+    options: FlowOptions = FlowOptions(),
+    jobs: int = 1,
     cancel: Optional[Callable[[], bool]] = None,
     netlists: Optional[Dict[str, Netlist]] = None,
     cache: Optional[StageCache] = None,

@@ -23,6 +23,7 @@ from typing import Optional
 
 from ..cells.characterize import TimingLibrary
 from ..netlist.core import Netlist
+from ..timing.sta import _net_load
 from ..timing.wires import WireModel, zero_wire_model
 from .activity import ActivityReport, estimate_activity
 
@@ -48,19 +49,6 @@ class PowerReport:
     @property
     def total(self) -> float:
         return self.dynamic + self.clock + self.leakage
-
-
-def _net_load(
-    netlist: Netlist, timing: TimingLibrary, wires: WireModel, net: str
-) -> float:
-    load = wires.capacitance(net)
-    for sink_name, pin in netlist.nets[net].sinks:
-        sink = netlist.instances[sink_name]
-        if sink.cell.name in timing.library:
-            load += timing.pin_cap(sink.cell.name, pin)
-        else:
-            load += max(sink.cell.input_caps.values())
-    return load
 
 
 def estimate_power(

@@ -9,8 +9,11 @@ supernodes to the appropriate combination of PLB components."
 
 Implementation
 --------------
-1. FlowMap (K=3) runs over the mapped component netlist's instance graph,
-   giving every instance a min-height 3-feasible cut (its *supernode*).
+1. FlowMap (K=3) runs over the mapped component netlist's net graph (each
+   combinational output net with its driver's distinct input nets),
+   giving every instance a min-height 3-feasible cut (its *supernode*);
+   the cuts :func:`~repro.synth.cuts.merge_cuts` enumerates over the same
+   nets are the other candidates.
 2. Supernodes are visited outputs-first.  A supernode is *collapsed* when
    the best-matching PLB component structure (ND3 / MX / NDMX / XOAMX /
    XOANDMX / LUT3 / ...) is smaller than the cells it replaces — counting
@@ -31,11 +34,9 @@ from ..logic.truthtable import TruthTable, _var_mask
 from ..netlist.core import Netlist
 from ..netlist.stats import total_area
 from ..obs import core as _obs
+from .cuts import Option, merge_cuts
 from .flowmap import FlowMap
 from .realize import Realization, compaction_table, memoized_lookup
-
-#: Pseudo-node prefix for source nets (primary inputs, DFF outputs).
-_SRC = "$src$"
 
 
 @dataclass
@@ -54,28 +55,6 @@ class CompactionReport:
         if self.area_before == 0:
             return 0.0
         return 1.0 - self.area_after / self.area_before
-
-
-def _instance_graph(netlist: Netlist) -> Dict[str, Tuple[str, ...]]:
-    """FlowMap fanin graph: combinational instances + net pseudo-sources."""
-    fanins: Dict[str, Tuple[str, ...]] = {}
-    for inst in netlist.combinational_instances():
-        fanin_nodes = []
-        for net in inst.input_nets():
-            driver = netlist.driver_of(net)
-            if driver is None or driver.is_sequential:
-                fanin_nodes.append(_SRC + net)
-            else:
-                fanin_nodes.append(driver.name)
-        fanins[inst.name] = tuple(dict.fromkeys(fanin_nodes))
-    return fanins
-
-
-def _node_net(netlist: Netlist, node: str) -> str:
-    """The net carried by a FlowMap node (instance output or source net)."""
-    if node.startswith(_SRC):
-        return node[len(_SRC):]
-    return netlist.instances[node].output_net
 
 
 class _Driver(NamedTuple):
@@ -203,70 +182,36 @@ def _exclusive_members(
 def _enumerate_net_cuts(
     drivers: Dict[str, _Driver], k: int = 3, cap: int = 16
 ) -> Dict[str, List[Tuple[str, ...]]]:
-    """K-feasible cuts (as net tuples) per combinational output net.
+    """K-feasible cuts (as sorted net tuples) per combinational output net.
 
     ``drivers`` holds the combinational instances in topological order.
-    Each cut carries a bitmask over the nets (one bit per net, given
-    when the net is first used) next to its tuple, so unions, sizes and
-    dominance tests are integer operations; the tuples, their order and
-    the cap are those of the plain set-based merge.
+    Each net gets its leaf bit on first use.  A net offers later merges
+    its kept cuts and then its trivial cut, which does not count against
+    the cap; a source net (primary input, register output) offers only
+    its trivial cut.
     """
-    # Every union is a sorted tuple, so a mask names exactly one tuple.
-    tuple_of: Dict[int, Tuple[str, ...]] = {}
-    # Per net: (tuple, mask) of each kept cut, then the trivial cut.  A
-    # source net has only its trivial cut; it gets its bit on first use.
-    options_of: Dict[str, List[Tuple[Tuple[str, ...], int]]] = {}
+    leaves_of: Dict[int, Tuple[str, ...]] = {}
+    options_of: Dict[str, List[Option]] = {}
+
+    def options(net: str) -> List[Option]:
+        found = options_of.get(net)
+        if found is None:
+            found = options_of[net] = [((net,), 1 << len(options_of))]
+        return found
+
     cuts: Dict[str, List[Tuple[str, ...]]] = {}
-    limit = cap * 4
-
-    def trivial(net: str) -> Tuple[Tuple[str, ...], int]:
-        mask = 1 << len(options_of)  # each net's, just before its entry
-        tuple_of[mask] = (net,)
-        return (net,), mask
-
     for net, driver in drivers.items():
-        input_nets = tuple(dict.fromkeys(driver.inputs))
-        input_mask = 0
-        partial: Dict[int, Tuple[str, ...]] = {0: ()}
-        for in_net in input_nets:
-            options = options_of.get(in_net)
-            if options is None:
-                options = options_of[in_net] = [trivial(in_net)]
-            input_mask |= options[-1][1]
-            nxt: Dict[int, Tuple[str, ...]] = {}
-            for base_mask, base in partial.items():
-                for option, option_mask in options:
-                    union = base_mask | option_mask
-                    if union in nxt or union.bit_count() > k:
-                        continue
-                    found = tuple_of.get(union)
-                    if found is None:
-                        found = tuple_of[union] = tuple(sorted(set(base).union(option)))
-                    nxt[union] = found
-            partial = nxt if len(nxt) <= limit else dict(list(nxt.items())[:limit])
-        merged = {union: mask for mask, union in partial.items() if mask}
-        if input_nets and len(input_nets) <= k:
-            merged[input_nets] = input_mask
-        # Dominance pruning and cap.
-        kept: List[Tuple[Tuple[str, ...], int]] = []
-        for candidate in sorted(sorted(merged), key=len):
-            cand_mask = merged[candidate]
-            for _cut, mask in kept:
-                if mask & cand_mask == mask:
-                    break
-            else:
-                kept.append((candidate, cand_mask))
-                if len(kept) >= cap:
-                    break
+        kept = merge_cuts(
+            [options(in_net) for in_net in dict.fromkeys(driver.inputs)],
+            k, cap, leaves_of,
+        )
         cuts[net] = [cut for cut, _mask in kept]
-        kept.append(trivial(net))
-        options_of[net] = kept
+        options_of[net] = [*kept, ((net,), 1 << len(options_of))]
     return cuts
 
 
 def compact(
     netlist: Netlist,
-    arch: str,
     library: Library,
     k: int = 3,
 ) -> Tuple[Netlist, CompactionReport]:
@@ -278,15 +223,16 @@ def compact(
     """
     area_before = total_area(netlist)
     table = compaction_table(library)
-    fanins = _instance_graph(netlist)
-    flow_result = FlowMap(fanins, k=k).compute()
-
     outputs = set(netlist.outputs)
     order = netlist.topological_order()
     drivers = {
         inst.output_net: _Driver(inst.name, inst.input_nets(), inst.config.mask)
         for inst in order
     }
+    flow_cuts = FlowMap({
+        net: tuple(dict.fromkeys(driver.inputs))
+        for net, driver in drivers.items()
+    }, k=k).compute().cuts
     cones = _Cones(drivers)
     net_cuts = _enumerate_net_cuts(drivers, k=k)
     find = memoized_lookup(table)
@@ -299,13 +245,11 @@ def compact(
             continue
         root_net = inst.output_net
         candidates: List[Tuple[str, ...]] = []
-        cut = flow_result.cuts.get(inst.name)
-        if cut is not None and cut != frozenset({inst.name}):
-            candidates.append(
-                tuple(sorted(_node_net(netlist, node) for node in cut))
-            )
-        for enumerated in net_cuts.get(root_net, ()):  # pragma: no branch
-            if enumerated not in candidates and set(enumerated) != {root_net}:
+        cut = flow_cuts[root_net]
+        if cut != {root_net}:  # an instance without inputs is a source
+            candidates.append(tuple(sorted(cut)))
+        for enumerated in net_cuts[root_net]:
+            if enumerated not in candidates:
                 candidates.append(enumerated)
 
         best: Optional[Tuple[float, Tuple[str, ...], Realization]] = None
@@ -367,7 +311,6 @@ def compact(
 
 def compact_to_fixpoint(
     netlist: Netlist,
-    arch: str,
     library: Library,
     k: int = 3,
     max_passes: int = 3,
@@ -383,7 +326,7 @@ def compact_to_fixpoint(
     histogram: Dict[str, int] = {}
     applied_any = False
     for _ in range(max(1, max_passes)):
-        netlist, report = compact(netlist, arch, library, k=k)
+        netlist, report = compact(netlist, library, k=k)
         if not report.applied:
             break
         applied_any = True

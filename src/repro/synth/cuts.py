@@ -4,7 +4,10 @@ A *cut* of node ``v`` is a set of nodes (leaves) such that every path from
 the inputs to ``v`` passes through a leaf; it is K-feasible when it has at
 most K leaves.  Cuts are enumerated bottom-up by merging fanin cut sets,
 with dominated-cut pruning (a cut is dominated if a subset of it is also a
-cut) and a per-node cap.
+cut) and a per-node cap.  :func:`merge_cuts` is that merge for both
+enumerations, the AIG's here and compaction's over netlist nets: each cut
+carries a bitmask of its leaves, so unions, sizes and dominance tests are
+integer operations.
 
 ``tree_mode`` restricts enumeration to fanout-free regions: a fanin with
 external fanout contributes only its trivial cut, which reproduces the
@@ -14,13 +17,15 @@ the behaviour the paper's FlowMap-based compaction then improves on.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..logic.truthtable import TruthTable, _var_mask
 from ..obs import core as _obs
 from .aig import AIG, lit_inverted, lit_node
 
 Cut = Tuple[int, ...]  # sorted leaf node ids
+Leaves = Tuple[Any, ...]  # sorted leaves: AIG node ids or net names
+Option = Tuple[Leaves, int]  # a cut's leaves and their bitmask
 
 #: Per-node cut cap; K=3 cut sets are small, this is a safety valve.
 DEFAULT_CUT_CAP = 24
@@ -38,22 +43,49 @@ def fanout_counts(aig: AIG) -> Dict[int, int]:
     return counts
 
 
-def _merge(a: Cut, b: Cut, k: int) -> Cut | None:
-    merged = tuple(sorted(set(a) | set(b)))
-    return merged if len(merged) <= k else None
+def merge_cuts(
+    fanin_options: Iterable[Sequence[Option]],
+    k: int,
+    cap: int,
+    leaves_of: Dict[int, Leaves],
+    trivial: Optional[Option] = None,
+) -> List[Option]:
+    """The kept cuts of one node, merged from its fanins' cut options.
 
-
-def _prune(cuts: List[Cut], cap: int) -> List[Cut]:
-    """Remove dominated cuts, keep at most ``cap`` (smallest first)."""
-    cuts = sorted(set(cuts), key=lambda c: (len(c), c))
-    kept: List[Cut] = []
-    for cut in cuts:
-        cut_set = set(cut)
-        if any(set(existing) <= cut_set for existing in kept):
-            continue
-        kept.append(cut)
-        if len(kept) >= cap:
-            break
+    Each fanin offers its cuts as ``(sorted leaves, leaf bitmask)``
+    options.  Every union of one option per fanin with at most ``k``
+    leaves is a cut of the node; ``leaves_of`` memoizes the sorted leaves
+    of each union mask over one enumeration.  Dominated cuts (a kept cut
+    is a subset) are dropped and at most ``cap`` are kept, ordered by
+    (size, leaves).  ``trivial``, the node's own cut, competes for that
+    order and cap when given.
+    """
+    partial: Dict[int, Leaves] = {0: ()}
+    for options in fanin_options:
+        nxt: Dict[int, Leaves] = {}
+        for base_mask, base in partial.items():
+            for option, option_mask in options:
+                union = base_mask | option_mask
+                if union in nxt or union.bit_count() > k:
+                    continue
+                found = leaves_of.get(union)
+                if found is None:
+                    found = leaves_of[union] = tuple(sorted({*base, *option}))
+                nxt[union] = found
+        partial = nxt
+    merged = {leaves: mask for mask, leaves in partial.items() if mask}
+    if trivial is not None:
+        merged[trivial[0]] = trivial[1]
+    kept: List[Option] = []
+    for leaves in sorted(sorted(merged), key=len):
+        mask = merged[leaves]
+        for _leaves, kept_mask in kept:
+            if kept_mask & mask == kept_mask:
+                break
+        else:
+            kept.append((leaves, mask))
+            if len(kept) >= cap:
+                break
     return kept
 
 
@@ -63,30 +95,29 @@ def enumerate_cuts(
     cap: int = DEFAULT_CUT_CAP,
     tree_mode: bool = False,
 ) -> Dict[int, List[Cut]]:
-    """All K-feasible cuts per node (including the trivial cut)."""
+    """All K-feasible cuts per node (including the trivial cut).
+
+    Node ``v``'s leaf bit is ``1 << v``.
+    """
     fanouts = fanout_counts(aig) if tree_mode else {}
-    cuts: Dict[int, List[Cut]] = {0: [(0,)]}
-    for node in range(1, aig.n_inputs + 1):
-        cuts[node] = [(node,)]
+    leaves_of: Dict[int, Leaves] = {}
+    options: Dict[int, List[Option]] = {
+        node: [((node,), 1 << node)] for node in range(aig.n_inputs + 1)
+    }
     for node in aig.and_nodes():
-        f0, f1 = aig.fanins(node)
-        n0, n1 = lit_node(f0), lit_node(f1)
-        if tree_mode and fanouts.get(n0, 0) > 1:
-            set0: Sequence[Cut] = [(n0,)]
-        else:
-            set0 = cuts[n0]
-        if tree_mode and fanouts.get(n1, 0) > 1:
-            set1: Sequence[Cut] = [(n1,)]
-        else:
-            set1 = cuts[n1]
-        merged: List[Cut] = []
-        for c0 in set0:
-            for c1 in set1:
-                candidate = _merge(c0, c1, k)
-                if candidate is not None:
-                    merged.append(candidate)
-        merged.append((node,))
-        cuts[node] = _prune(merged, cap)
+        fanin_options = [
+            [((fanin,), 1 << fanin)]
+            if tree_mode and fanouts.get(fanin, 0) > 1
+            else options[fanin]
+            for fanin in map(lit_node, aig.fanins(node))
+        ]
+        options[node] = merge_cuts(
+            fanin_options, k, cap, leaves_of, ((node,), 1 << node)
+        )
+    cuts = {
+        node: [leaves for leaves, _mask in kept]
+        for node, kept in options.items()
+    }
     if _obs.active():
         _obs.counter("synth.cuts", sum(map(len, cuts.values())))
     return cuts

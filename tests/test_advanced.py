@@ -113,13 +113,21 @@ class TestPackingLoopDetails:
 
 class TestExperimentHelpers:
     @pytest.mark.parametrize(
-        "scale", [0.0, -1.0, float("nan"), float("inf"), float("-inf")]
+        "scale",
+        [0.0, -1.0, float("nan"), float("inf"), float("-inf"), None, "0.5"],
     )
     def test_build_design_rejects_bad_scale(self, scale):
         from repro.flow.experiments import build_design
 
         with pytest.raises(ValueError, match="finite number > 0"):
             build_design("alu", scale)
+
+    def test_run_cells_rejects_missing_scale(self):
+        from repro.flow.options import FlowOptions
+        from repro.flow.parallel import run_cells
+
+        with pytest.raises(ValueError, match="finite number > 0"):
+            run_cells([("alu", "granular")], None, FlowOptions(), jobs=1)
 
     @pytest.mark.parametrize("argv", [
         ["flow", "alu", "--scale", "0"],

@@ -21,8 +21,8 @@ class TestFixpoint:
         src = make_ripple_design(width=6)
         library = libfn()
         mapped = map_core(extract_core(src), arch, library)
-        _single, single_report = compact(mapped, arch, library)
-        multi, multi_report = compact_to_fixpoint(mapped, arch, library)
+        _single, single_report = compact(mapped, library)
+        multi, multi_report = compact_to_fixpoint(mapped, library)
         assert multi_report.area_after <= single_report.area_after
         assert multi_report.reduction >= single_report.reduction
 
@@ -30,7 +30,7 @@ class TestFixpoint:
         src = make_ripple_design(width=6)
         library = libfn()
         mapped = map_core(extract_core(src), arch, library)
-        compacted, report = compact_to_fixpoint(mapped, arch, library)
+        compacted, report = compact_to_fixpoint(mapped, library)
         check(compacted)
         assert outputs_equal(src, compacted, n_cycles=4)
         assert report.area_after == pytest.approx(total_area(compacted)) or (
@@ -41,7 +41,7 @@ class TestFixpoint:
         src = make_ripple_design(width=5)
         library = libfn()
         mapped = map_core(extract_core(src), arch, library)
-        once, _ = compact_to_fixpoint(mapped, arch, library, max_passes=5)
-        again, report = compact_to_fixpoint(once, arch, library, max_passes=5)
+        once, _ = compact_to_fixpoint(mapped, library, max_passes=5)
+        again, report = compact_to_fixpoint(once, library, max_passes=5)
         # A converged netlist does not improve further.
         assert not report.applied or report.reduction < 0.02

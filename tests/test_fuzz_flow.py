@@ -67,7 +67,7 @@ def test_pipeline_equivalence(random_designs, seed, arch, libfn):
     assert outputs_equal(src, mapped, n_cycles=4, seed=seed), (
         f"seed {seed}: mapping broke equivalence on {arch}"
     )
-    compacted, report = compact_to_fixpoint(mapped, arch, library)
+    compacted, report = compact_to_fixpoint(mapped, library)
     check(compacted)
     assert outputs_equal(src, compacted, n_cycles=4, seed=seed), (
         f"seed {seed}: compaction broke equivalence on {arch}"

@@ -9,7 +9,8 @@ All must give exactly what the straightforward versions below give:
 ``ReferenceFlowMap`` builds a tuple-keyed dict-of-dicts flow network
 for every node, ``reference_cluster`` walks each candidate cone twice
 and composes ``TruthTable`` objects, ``reference_net_cuts`` merges
-compaction's cuts as Python sets, ``reference_cut_function`` builds a
+compaction's cuts as Python sets, ``reference_cuts`` does the same for
+the AIG's cuts, ``reference_cut_function`` builds a
 ``TruthTable`` per AIG node and ``reference_mux_over`` calls
 ``TruthTable.mux``.  The pinned digests catch any kernel change that
 would move Table 1/2.
@@ -42,9 +43,9 @@ from repro.logic.truthtable import TruthTable
 from repro.netlist.core import Netlist
 from repro.synth import compaction
 from repro.synth.aig import AIG, lit_inverted, lit_node
-from repro.synth.compaction import _instance_graph, compact_to_fixpoint
+from repro.synth.compaction import compact_to_fixpoint
 from repro.synth import flowmap as flowmap_module
-from repro.synth.cuts import cut_function, enumerate_cuts
+from repro.synth.cuts import cut_function, enumerate_cuts, fanout_counts
 from repro.synth.flowmap import FlowMap, FlowMapResult
 from repro.synth.from_netlist import CombCore, extract_core
 from repro.synth.optimize import balance, cleanup, optimize, rewrite_cuts
@@ -314,10 +315,8 @@ def reference_net_cuts(
         return cuts.get(net, [(net,)])
 
     for inst in netlist.topological_order():
-        input_nets = tuple(dict.fromkeys(inst.input_nets()))
-        merged = [input_nets] if len(input_nets) <= k else []
         partial: List[Tuple[str, ...]] = [()]
-        for net in input_nets:
+        for net in dict.fromkeys(inst.input_nets()):
             options = cuts_of_net(net) + [(net,)]
             nxt = []
             for base in partial:
@@ -325,9 +324,8 @@ def reference_net_cuts(
                     union = tuple(sorted(set(base) | set(option)))
                     if len(union) <= k:
                         nxt.append(union)
-            partial = list(dict.fromkeys(nxt))[: cap * 4]
-        merged.extend(partial)
-        unique = sorted(set(m for m in merged if m), key=lambda c: (len(c), c))
+            partial = list(dict.fromkeys(nxt))
+        unique = sorted(set(m for m in partial if m), key=lambda c: (len(c), c))
         kept: List[Tuple[str, ...]] = []
         for candidate in unique:
             if any(set(existing) <= set(candidate) for existing in kept):
@@ -336,6 +334,38 @@ def reference_net_cuts(
             if len(kept) >= cap:
                 break
         cuts[inst.output_net] = kept
+    return cuts
+
+
+def reference_cuts(
+    aig: AIG, k: int = 3, cap: int = 24, tree_mode: bool = False
+) -> Dict[int, List[Tuple[int, ...]]]:
+    """``enumerate_cuts`` merging each pair of fanin cuts as a sorted
+    tuple of a set union, then dropping duplicates and dominated cuts
+    (``set <= set``) and capping, the trivial cut among them."""
+    fanouts = fanout_counts(aig) if tree_mode else {}
+    cuts: Dict[int, List[Tuple[int, ...]]] = {
+        node: [(node,)] for node in range(aig.n_inputs + 1)
+    }
+    for node in aig.and_nodes():
+        sets = [
+            [(n,)] if tree_mode and fanouts.get(n, 0) > 1 else cuts[n]
+            for n in map(lit_node, aig.fanins(node))
+        ]
+        merged = [(node,)]
+        for c0 in sets[0]:
+            for c1 in sets[1]:
+                union = tuple(sorted(set(c0) | set(c1)))
+                if len(union) <= k:
+                    merged.append(union)
+        kept: List[Tuple[int, ...]] = []
+        for cut in sorted(set(merged), key=lambda c: (len(c), c)):
+            if any(set(existing) <= set(cut) for existing in kept):
+                continue
+            kept.append(cut)
+            if len(kept) >= cap:
+                break
+        cuts[node] = kept
     return cuts
 
 
@@ -517,13 +547,31 @@ class TestBalanceLevelMemo:
 # FlowMap
 # ----------------------------------------------------------------------
 
-def design_instance_graph(design_cores, design: str, arch: str):
-    """The FlowMap input compaction builds for one optimized, mapped
-    design core."""
+def design_mapped(design_cores, design: str, arch: str) -> Netlist:
     core = design_cores[design]
     core = replace(core, aig=optimize(core.aig))
-    mapped = map_core(core, arch, architecture_of(arch).library)
-    return _instance_graph(mapped)
+    return map_core(core, arch, architecture_of(arch).library)
+
+
+def instance_graph(mapped: Netlist) -> Dict[str, Tuple[str, ...]]:
+    """A mapped netlist as a FlowMap input keyed by instance: each
+    combinational instance with the distinct drivers of its input nets,
+    a primary input or register output standing as ``$src$<net>``."""
+    fanins: Dict[str, Tuple[str, ...]] = {}
+    for inst in mapped.combinational_instances():
+        nodes = []
+        for net in inst.input_nets():
+            driver = mapped.driver_of(net)
+            if driver is None or driver.is_sequential:
+                nodes.append("$src$" + net)
+            else:
+                nodes.append(driver.name)
+        fanins[inst.name] = tuple(dict.fromkeys(nodes))
+    return fanins
+
+
+def design_instance_graph(design_cores, design: str, arch: str):
+    return instance_graph(design_mapped(design_cores, design, arch))
 
 
 def assert_same_flowmap(fanins, k: int, cone_cap: int) -> None:
@@ -558,6 +606,37 @@ class TestFlowMapOracle:
         fanins = design_instance_graph(design_cores, design, arch)
         assert_same_flowmap(fanins, 3, 3000)
         assert_same_flowmap(fanins, 3, 40)
+
+    @pytest.mark.parametrize("arch", ARCHES)
+    @pytest.mark.parametrize("design", DESIGNS)
+    def test_net_graph_gives_the_instance_graph_cuts(
+        self, design, arch, design_cores
+    ):
+        """Compaction's net graph (each driven net with its driver's
+        distinct input nets) has the instance graph's labels and cut
+        sets, node for node: both are the same network."""
+        mapped = design_mapped(design_cores, design, arch)
+        nets = {
+            inst.output_net: tuple(dict.fromkeys(inst.input_nets()))
+            for inst in mapped.topological_order()
+        }
+
+        def net_of(node: str) -> str:
+            if node.startswith("$src$"):
+                return node[len("$src$"):]
+            return mapped.instances[node].output_net
+
+        fanins = instance_graph(mapped)
+        for cone_cap in (3000, 40):
+            by_instance = FlowMap(fanins, k=3, cone_cap=cone_cap).compute()
+            by_net = FlowMap(nets, k=3, cone_cap=cone_cap).compute()
+            assert {
+                net_of(node): (label, set(map(net_of, by_instance.cuts[node])))
+                for node, label in by_instance.labels.items()
+            } == {
+                net: (label, set(by_net.cuts[net]))
+                for net, label in by_net.labels.items()
+            }
 
     def test_empty_map(self):
         assert_same_flowmap({}, 3, 3000)
@@ -631,7 +710,7 @@ def random_aig_core(seed: int) -> CombCore:
 
 def checked_compaction(core: CombCore, arch: str, monkeypatch) -> Counter:
     """Map and compact ``core``, checking every pass's enumerated cuts
-    (also at a size and cap that truncate the partial unions) against
+    (also at a larger size and a binding cap) against
     ``reference_net_cuts``, and every candidate walk against
     ``reference_cluster`` with two variants of it: without its first
     leaf (which often escapes the cut) and with the root's first input
@@ -646,7 +725,7 @@ def checked_compaction(core: CombCore, arch: str, monkeypatch) -> Counter:
         return compact(netlist, *args, **kwargs)
 
     def checked_net_cuts(drivers, k):
-        # k=5 with one cut per net overflows the partial-union limit
+        # k=5 with one cut per net: wide unions, and the cap binds
         for k_, cap in ((k, 16), (5, 1)):
             got = net_cuts(drivers, k=k_, cap=cap)
             assert list(got.items()) == list(
@@ -681,7 +760,7 @@ def checked_compaction(core: CombCore, arch: str, monkeypatch) -> Counter:
     monkeypatch.setattr(compaction, "_enumerate_net_cuts", checked_net_cuts)
     library = architecture_of(arch).library
     mapped = map_core(core, arch, library)
-    compact_to_fixpoint(mapped, arch, library)
+    compact_to_fixpoint(mapped, library)
     seen["passes"] = len(netlists)
     return seen
 
@@ -723,6 +802,33 @@ class TestCompactionConeOracle:
         assert cones.visited == 1
         assert cones.walk(root.output_net, ()) is None
         assert cones.visited >= 2
+
+
+class TestCutEnumerationOracle:
+    """``enumerate_cuts`` lists every node's cuts as ``reference_cuts``
+    does, order included, in both tree modes, at the default cap and at
+    a cap of 2 that the trivial cut shares."""
+
+    @staticmethod
+    def _check(aig: AIG) -> int:
+        capped = 0
+        for tree_mode in (False, True):
+            for cap in (24, 2):
+                got = enumerate_cuts(aig, k=3, cap=cap, tree_mode=tree_mode)
+                ref = reference_cuts(aig, k=3, cap=cap, tree_mode=tree_mode)
+                assert list(got.items()) == list(ref.items())
+            wide = enumerate_cuts(aig, k=3, tree_mode=tree_mode)
+            capped += sum(len(cuts) > 2 for cuts in wide.values())
+        return capped
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_aigs(self, seed):
+        self._check(random_aig(seed))
+
+    @pytest.mark.parametrize("design", DESIGNS)
+    def test_design_cores(self, design, design_cores):
+        # the cap of 2 binds on some node
+        assert self._check(optimize(design_cores[design].aig)) > 0
 
 
 class TestCutFunctionOracle:

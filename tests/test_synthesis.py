@@ -87,7 +87,7 @@ class TestCompaction:
         src = make_ripple_design(width=6)
         library = libfn()
         mapped = map_core(optimized_core(src, effort=2), arch, library)
-        compacted, report = compact(mapped, arch, library)
+        compacted, report = compact(mapped, library)
         check(compacted)
         assert outputs_equal(src, compacted, n_cycles=4)
         assert report.area_after <= report.area_before
@@ -96,7 +96,7 @@ class TestCompaction:
     def test_report_consistency(self, arch, libfn, comb_design):
         library = libfn()
         mapped = map_core(optimized_core(comb_design), arch, library)
-        compacted, report = compact(mapped, arch, library)
+        compacted, report = compact(mapped, library)
         if report.applied:
             assert report.area_after == pytest.approx(total_area(compacted))
             assert report.supernodes_collapsed > 0
@@ -109,7 +109,7 @@ class TestCompaction:
         library = libfn()
         mapped = map_core(optimized_core(src), arch, library)
         n_dff = gather(mapped).n_sequential
-        compacted, _report = compact(mapped, arch, library)
+        compacted, _report = compact(mapped, library)
         assert gather(compacted).n_sequential == n_dff
 
 
@@ -119,6 +119,6 @@ class TestCompactionEffect:
         src = make_ripple_design(width=8)
         library = granular_plb_library()
         mapped = map_core(optimized_core(src), "granular", library)
-        compacted, report = compact(mapped, "granular", library)
+        compacted, report = compact(mapped, library)
         assert report.applied
         assert report.reduction > 0.0
