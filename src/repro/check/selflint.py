@@ -59,10 +59,10 @@ inputs its cache key hashes — or cached and fresh runs diverge.
     Ambient reads in stage-reachable code: ``os.environ``, wall-clock
     calls, module-level ``random``, file reads, and mutable module
     globals written by a *different* function.  Reachability starts at
-    the ``if stage == "...": return fn(...)`` branches of
-    ``compute_stage`` and follows resolvable calls (module functions,
-    imported symbols, ``self.m()``; calling a class reaches all its
-    methods).  ``repro.check`` and ``repro.obs`` (bit-identical by
+    the ``compute=`` and ``audit=`` functions of the module-level
+    ``Stage(...)`` records and follows resolvable calls (module
+    functions, imported symbols, ``self.m()``; calling a class reaches
+    all its methods).  ``repro.check`` and ``repro.obs`` (bit-identical by
     design) are outside the model, and the stage cache's own file I/O
     is the content-addressed boundary, not an ambient input.
 
@@ -553,19 +553,6 @@ class _FnInfo:
     node: ast.FunctionDef
 
 
-def _stage_eq(test: ast.expr) -> Optional[str]:
-    """``stage == "name"`` comparisons in dispatch code."""
-    if not isinstance(test, ast.Compare):
-        return None
-    if len(test.ops) != 1 or not isinstance(test.ops[0], ast.Eq):
-        return None
-    left, right = test.left, test.comparators[0]
-    if isinstance(left, ast.Name) and left.id == "stage":
-        if isinstance(right, ast.Constant) and isinstance(right.value, str):
-            return right.value
-    return None
-
-
 def _is_mutable_literal(node: ast.AST) -> bool:
     if isinstance(node, (ast.Dict, ast.List, ast.Set, ast.DictComp,
                          ast.ListComp, ast.SetComp)):
@@ -592,8 +579,9 @@ class _StageModel:
         self.by_bare: Dict[str, str] = {}
         #: class name -> methods of every class of that name.
         self.classes: Dict[str, List[str]] = {}
-        #: stage -> (dispatching module, entry call in compute_stage).
-        self.entries: Dict[str, Tuple[str, ast.Call]] = {}
+        #: (module, function name) of each stage record's compute and
+        #: audit function.
+        self.entries: List[Tuple[_Module, str]] = []
         for module in modules:
             self._add_module(module)
 
@@ -621,6 +609,8 @@ class _StageModel:
                     module.mutable_globals.update(
                         t.id for t in targets if isinstance(t, ast.Name)
                     )
+                if node.value is not None:
+                    self._scan_stages(module, node.value)
             elif isinstance(node, ast.ClassDef):
                 methods = self.classes.setdefault(node.name, [])
                 for item in node.body:
@@ -631,8 +621,6 @@ class _StageModel:
             elif isinstance(node, ast.FunctionDef):
                 qualname = self._add_function(module, node, None)
                 self.by_bare.setdefault(node.name, qualname)
-                if node.name == "compute_stage":
-                    self._scan_dispatch(module.name, node)
 
     def _add_function(
         self, module: _Module, node: ast.FunctionDef, cls: Optional[str]
@@ -642,21 +630,18 @@ class _StageModel:
         self.functions[qualname] = _FnInfo(qualname, module, cls, node)
         return qualname
 
-    def _scan_dispatch(self, module: str, fn: ast.FunctionDef) -> None:
-        """Extract per-stage entry calls from ``compute_stage``."""
-        for node in ast.walk(fn):
-            if not isinstance(node, ast.If):
-                continue
-            stage = _stage_eq(node.test)
-            if stage is None:
-                continue
-            for stmt in node.body:
-                for sub in ast.walk(stmt):
-                    if isinstance(sub, ast.Return) and isinstance(
-                        sub.value, ast.Call
-                    ):
-                        self.entries.setdefault(stage, (module, sub.value))
-                        break
+    def _scan_stages(self, module: _Module, value: ast.expr) -> None:
+        """The ``compute=``/``audit=`` functions of the ``Stage(...)``
+        records in one module-level assignment."""
+        for node in ast.walk(value):
+            if isinstance(node, ast.Call) and isinstance(
+                node.func, ast.Name
+            ) and node.func.id == "Stage":
+                self.entries += [
+                    (module, kw.value.id) for kw in node.keywords
+                    if kw.arg in ("compute", "audit")
+                    and isinstance(kw.value, ast.Name)
+                ]
 
     # -- call resolution -----------------------------------------------
 
@@ -698,10 +683,8 @@ class _StageModel:
         """Functions reachable from any stage entry via resolvable
         calls, in source order."""
         stack: List[str] = []
-        for stage in sorted(self.entries):
-            module, call = self.entries[stage]
-            dispatch = self.functions[f"{module}:compute_stage"]
-            stack += self._callees(dispatch, call)
+        for module, name in self.entries:
+            stack += self._named(module, name)
         seen: Dict[str, _FnInfo] = {}
         while stack:
             qualname = stack.pop()
@@ -860,7 +843,7 @@ def lint_source(
     source: str, filename: str = "<string>"
 ) -> List[Finding]:
     """Lint one module's source text as a one-file program (CK003
-    then needs the module's own ``compute_stage`` dispatch)."""
+    then needs the module's own ``Stage(...)`` records)."""
     return _lint([_parse(source, filename, Path(filename).stem, True)])
 
 

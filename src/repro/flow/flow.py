@@ -29,9 +29,9 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import astuple, dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 from pathlib import Path
-from typing import Callable, Dict, Optional, Union
+from typing import Callable, Dict, Optional, Tuple, Union
 
 from ..cells.characterize import TimingLibrary, characterize_library
 from ..obs import core as _obs
@@ -67,34 +67,6 @@ from .options import (
 
 #: Deep mapped netlists recurse through reconstruction helpers.
 _RECURSION_LIMIT = 100_000
-
-#: Stage names, in pipeline order (used by reports and benchmarks).
-STAGES = ("synthesis", "physical", "route_a", "packing", "route_b")
-
-#: Upstream artifacts each stage's compute function consumes.  This is
-#: the full data-dependency relation of the Figure-6 pipeline; the
-#: stage DAG (:mod:`repro.flow.scheduler`) takes its edges directly
-#: from it.
-STAGE_INPUTS: Dict[str, tuple] = {
-    "synthesis": (),
-    "physical": ("synthesis",),
-    "route_a": ("synthesis", "physical"),
-    "packing": ("synthesis", "physical"),
-    "route_b": ("synthesis", "packing"),
-}
-
-#: The upstream stage whose cache key chains into each stage's key
-#: (``None`` for the pipeline root).  A subset of :data:`STAGE_INPUTS`:
-#: ``route_a``/``packing`` consume the synthesis artifact too, but its
-#: content is already pinned transitively through the physical key.
-STAGE_KEY_PARENT: Dict[str, Optional[str]] = {
-    "synthesis": None,
-    "physical": "synthesis",
-    "route_a": "physical",
-    "packing": "physical",
-    "route_b": "packing",
-}
-
 
 #: Names of the paper's two architectures, reserved in the registry.
 _BUILTIN_NAMES = ("lut", "granular")
@@ -429,51 +401,116 @@ def _flow_b_result(
 
 
 # ----------------------------------------------------------------------
-# Stage registry: one definition of every stage's cache key, compute
-# function, and boundary audit, used by the stage DAG
+# The pipeline: one record per stage, used by the stage DAG
 # (repro.flow.scheduler) that runs every flow.
 # ----------------------------------------------------------------------
 
-def stage_cache_key(
-    cache: StageCache,
-    stage: str,
-    options: FlowOptions,
-    netlist: Optional[Netlist] = None,
-    parent_key: Optional[str] = None,
-) -> str:
-    """The content-addressed key of one stage's result.
+def _audit_synthesis(run, synthesis) -> None:
+    run("netlist", netlist=synthesis.netlist)
 
-    Every stage hashes its options slice (:meth:`FlowOptions.stage_slice`)
-    — exactly what its compute function receives — chained on
-    ``parent_key``, the key of its :data:`STAGE_KEY_PARENT`, so an
-    upstream change invalidates exactly its downstream stages.  The
-    pipeline root instead hashes the source ``netlist`` and the resolved
-    architecture's content.  Component order is load-bearing: it must
-    stay byte-identical across releases or every existing cache entry
-    silently misses.
+
+def _audit_physical(run, _synthesis, physical) -> None:
+    run("placement", netlist=physical.netlist, placement=physical.placement)
+
+
+def _audit_route_a(run, _synthesis, physical, flow_a) -> None:
+    run("routing", routing=flow_a.routing,
+        net_points=physical.placement.net_pin_points(physical.netlist))
+
+
+def _audit_packing(run, synthesis, _physical, packed) -> None:
+    run("packing", netlist=packed.netlist, packing=packed.packing)
+    run("equivalence",
+        reference=synthesis.pre_compaction_netlist or synthesis.netlist,
+        implementation=packed.netlist)
+
+
+def _audit_route_b(run, _synthesis, packed, flow_b) -> None:
+    run("routing", routing=flow_b.routing,
+        net_points=packed.packing.net_pin_points(packed.netlist))
+
+
+def _synthesis_key(netlist: Netlist, sliced: SynthesisOptions) -> tuple:
+    """The root's key components: the source netlist and the resolved
+    architecture's content (not its name), then the rest of its slice."""
+    return (
+        canonical_netlist(netlist), repr(architecture_of(sliced.arch)),
+        sliced.opt_effort, sliced.run_compaction,
+    )
+
+
+@dataclass(frozen=True)
+class Stage:
+    """One stage of the Figure-6 pipeline.
+
+    ``inputs`` names the upstream stages whose artifacts ``compute``
+    consumes, in its argument order: ``compute(*inputs, sliced)``, where
+    ``sliced`` is the stage's frozen ``options`` slice of
+    :class:`FlowOptions`; the root takes the source netlist instead.
+    ``audit(run, *inputs, artifact)`` states the fatal-only checks at the
+    stage's boundary as ``run(kind, **artifacts)`` calls.  A stage's key
+    hashes its slice chained on the key of its last input, which pins
+    every other input transitively; the root, which has no input, hashes
+    ``key(netlist, sliced)`` instead.
     """
-    sliced = options.stage_slice(stage)
-    if stage == "synthesis":
-        return cache.key(
-            "synthesis", canonical_netlist(netlist),
-            repr(architecture_of(sliced.arch)),
-            sliced.opt_effort, sliced.run_compaction,
+
+    name: str
+    inputs: Tuple[str, ...]
+    options: type
+    compute: Callable
+    audit: Callable
+    key: Optional[Callable] = None
+
+    def slice(self, options: FlowOptions):
+        """The frozen options slice this stage computes from and is
+        keyed by."""
+        return self.options(
+            *(getattr(options, f.name) for f in fields(self.options))
         )
-    return cache.key(stage, parent_key, *astuple(sliced))
+
+
+#: The Figure-6 pipeline, in pipeline order: every input precedes the
+#: stages that read it.
+PIPELINE: Tuple[Stage, ...] = (
+    Stage("synthesis", inputs=(), options=SynthesisOptions,
+          compute=synthesize, audit=_audit_synthesis, key=_synthesis_key),
+    Stage("physical", inputs=("synthesis",), options=PhysicalOptions,
+          compute=_run_physical, audit=_audit_physical),
+    Stage("route_a", inputs=("synthesis", "physical"), options=RouteAOptions,
+          compute=_flow_a_result, audit=_audit_route_a),
+    Stage("packing", inputs=("synthesis", "physical"), options=PackingOptions,
+          compute=_pack_stage, audit=_audit_packing),
+    Stage("route_b", inputs=("synthesis", "packing"), options=RouteBOptions,
+          compute=_flow_b_result, audit=_audit_route_b),
+)
+
+#: Stage names, in pipeline order (used by reports and benchmarks).
+STAGES = tuple(stage.name for stage in PIPELINE)
+
+#: Each stage's record by name.
+STAGE_RECORDS: Dict[str, Stage] = {stage.name: stage for stage in PIPELINE}
 
 
 def stage_keys(
     cache: StageCache, netlist: Netlist, options: FlowOptions
 ) -> Dict[str, str]:
-    """Every stage's cache key for one (netlist, options) cell."""
+    """Every stage's cache key for one (netlist, options) cell.
+
+    Each key hashes the stage's options slice — exactly what its compute
+    function receives — chained on its last input's key, so an upstream
+    change invalidates exactly its downstream stages; the root hashes
+    its ``key`` components.  Component order is load-bearing: it must
+    stay byte-identical across releases or every existing cache entry
+    silently misses.
+    """
     keys: Dict[str, str] = {}
-    for stage in STAGES:
-        parent = STAGE_KEY_PARENT[stage]
-        keys[stage] = stage_cache_key(
-            cache, stage, options,
-            netlist=netlist,
-            parent_key=keys[parent] if parent is not None else None,
-        )
+    for stage in PIPELINE:
+        sliced = stage.slice(options)
+        if stage.key is not None:
+            parts = stage.key(netlist, sliced)
+        else:
+            parts = (keys[stage.inputs[-1]], *astuple(sliced))
+        keys[stage.name] = cache.key(stage.name, *parts)
     return keys
 
 
@@ -501,31 +538,16 @@ def compute_stage(
 ):
     """Compute one stage from its upstream artifacts.
 
-    ``artifacts`` must hold every stage named in
-    ``STAGE_INPUTS[stage]``; the root stage takes the source ``netlist``
-    instead.  The stage sees only its options slice — the fields its
-    cache key hashes — so reading an unkeyed field raises
+    ``artifacts`` must hold every stage named in the record's
+    ``inputs``; the root stage takes the source ``netlist`` instead.
+    The stage sees only its options slice — the fields its cache key
+    hashes — so reading an unkeyed field raises
     :class:`AttributeError`.  Pure per (inputs, slice) — that purity is
     what makes both the stage cache and cross-process scheduling sound.
     """
-    sliced = options.stage_slice(stage)
-    if stage == "synthesis":
-        return synthesize(netlist, sliced)
-    if stage == "physical":
-        return _run_physical(artifacts["synthesis"], sliced)
-    if stage == "route_a":
-        return _flow_a_result(
-            artifacts["synthesis"], artifacts["physical"], sliced
-        )
-    if stage == "packing":
-        return _pack_stage(
-            artifacts["synthesis"], artifacts["physical"], sliced
-        )
-    if stage == "route_b":
-        return _flow_b_result(
-            artifacts["synthesis"], artifacts["packing"], sliced
-        )
-    raise ValueError(f"unknown stage {stage!r}")
+    record = STAGE_RECORDS[stage]
+    upstream = [artifacts[name] for name in record.inputs] or [netlist]
+    return record.compute(*upstream, record.slice(options))
 
 
 def guard_stage(
@@ -536,9 +558,8 @@ def guard_stage(
 ) -> None:
     """Fatal-only stage-boundary audit (``FlowOptions.check``).
 
-    ``artifacts`` holds the stage's own result plus its
-    :data:`STAGE_INPUTS`; a fatal finding raises
-    :class:`repro.check.CheckError`.
+    ``artifacts`` holds the stage's own result plus its record's
+    ``inputs``; a fatal finding raises :class:`repro.check.CheckError`.
     """
     if not options.check:
         return
@@ -547,27 +568,9 @@ def guard_stage(
     def run(kind: str, **kw) -> None:
         enforce(check_stage(kind, **kw), f"{context} after {stage}")
 
-    if stage == "synthesis":
-        run("netlist", netlist=artifacts["synthesis"].netlist)
-    elif stage == "physical":
-        physical = artifacts["physical"]
-        run("placement", netlist=physical.netlist,
-            placement=physical.placement)
-    elif stage == "route_a":
-        physical = artifacts["physical"]
-        run("routing", routing=artifacts["route_a"].routing,
-            net_points=physical.placement.net_pin_points(physical.netlist))
-    elif stage == "packing":
-        synthesis = artifacts["synthesis"]
-        packed = artifacts["packing"]
-        run("packing", netlist=packed.netlist, packing=packed.packing)
-        run("equivalence",
-            reference=synthesis.pre_compaction_netlist or synthesis.netlist,
-            implementation=packed.netlist)
-    elif stage == "route_b":
-        packed = artifacts["packing"]
-        run("routing", routing=artifacts["route_b"].routing,
-            net_points=packed.packing.net_pin_points(packed.netlist))
+    record = STAGE_RECORDS[stage]
+    record.audit(run, *(artifacts[name] for name in record.inputs),
+                 artifacts[stage])
 
 
 def run_design(

@@ -67,9 +67,9 @@ class FlowOptions:
     the placement grid.  It is a *semantic* knob (placement and die area
     depend on it), so it is part of the ``physical`` stage slice.
 
-    Stage code never sees a ``FlowOptions``: :meth:`stage_slice` hands
-    each stage only the frozen slice of fields its cache key hashes
-    (:data:`STAGE_OPTIONS`), so a stage cannot read an unkeyed field.
+    Stage code never sees a ``FlowOptions``: each stage's record
+    (:data:`repro.flow.flow.PIPELINE`) hands it only the frozen slice of
+    fields its cache key hashes, so a stage cannot read an unkeyed field.
     """
 
     arch: str = "granular"
@@ -96,13 +96,6 @@ class FlowOptions:
         from dataclasses import replace
 
         return replace(self, arch=arch)
-
-    def stage_slice(self, stage: str):
-        """The frozen options slice ``stage`` computes from and is keyed by."""
-        cls = STAGE_OPTIONS.get(stage)
-        if cls is None:
-            raise ValueError(f"unknown stage {stage!r}")
-        return cls(*(getattr(self, f.name) for f in fields(cls)))
 
     # -- JSON round-trip (job submissions, ``repro.serve``) ------------
     def to_dict(self) -> Dict[str, Any]:
@@ -141,8 +134,8 @@ _FLOAT_FIELDS = frozenset(
 
 # -- per-stage option slices --------------------------------------------
 # Each slice holds exactly the fields its stage reads, in the order its
-# cache key hashes them (``stage_cache_key`` hashes ``astuple(slice)``
-# below the root).  Field order is load-bearing: reordering changes keys.
+# cache key hashes them (``stage_keys`` hashes ``astuple(slice)`` below
+# the root).  Field order is load-bearing: reordering changes keys.
 
 @dataclass(frozen=True)
 class SynthesisOptions:
@@ -188,13 +181,3 @@ class RouteBOptions:
 
     routing_tracks: int
     period: float
-
-
-#: Stage name -> the options slice its compute function receives.
-STAGE_OPTIONS: Dict[str, type] = {
-    "synthesis": SynthesisOptions,
-    "physical": PhysicalOptions,
-    "route_a": RouteAOptions,
-    "packing": PackingOptions,
-    "route_b": RouteBOptions,
-}

@@ -4,7 +4,8 @@ Every flow run — one cell (:func:`repro.flow.flow.run_design`) or the
 evaluation matrix (:func:`repro.flow.parallel.run_cells`) at any job
 count — is decomposed into an explicit task DAG of (cell, stage) nodes
 (40 tasks for the paper's full 8-cell matrix) whose edges come straight
-from :data:`repro.flow.flow.STAGE_INPUTS`, the same relation the sha256
+from the ``inputs`` of the stage records
+(:data:`repro.flow.flow.PIPELINE`), the same relation the sha256
 cache-key chain mirrors.  Nodes whose (stage, key) another node already
 claimed collapse onto it, so duplicate cells share one computation.
 
@@ -17,10 +18,14 @@ warm matrix runs no stage at all.  A miss computes the stage:
 * **jobs=1: in the calling process.**  The ready heap pops in task-id
   order, which is cell-major (one cell's five stages, then the next
   cell's), as a loop over cells would run.
-* **jobs>1: on a pool of worker processes**, critical-path task first,
-  so cell B's synthesis overlaps cell A's physical stage and the
-  wall-clock approaches ``max(critical_path, total_work / jobs)``.  A
-  worker never opens the cache.
+* **jobs>1: on a pool of worker processes**, critical-path task first:
+  the heap pops the stage of greatest height (the longest chain of
+  stages from it to the end of the pipeline, itself included), then the
+  lowest task id.  Every cell's synthesis is issued before any physical
+  stage, so cell B's synthesis overlaps cell A's physical stage and the
+  wall-clock approaches ``max(critical_path, total_work / jobs)``.
+  Plain task-id order here measured slower on a cold 2-worker matrix.
+  A worker never opens the cache.
 
 An artifact is its pickle, made once where its stage ran: that pickle is
 the cache entry, written as it is, and what the pool receives for each
@@ -73,7 +78,8 @@ from ..obs import core as _obs
 from .cache import CacheStats, NullCache, StageCache
 from .flow import (
     _RECURSION_LIMIT,
-    STAGE_INPUTS,
+    PIPELINE,
+    STAGE_RECORDS,
     STAGES,
     DesignRun,
     compute_stage,
@@ -84,17 +90,22 @@ from .options import FlowOptions
 
 Cell = Tuple[str, str]
 
-#: Relative stage cost weights for critical-path-first priorities,
-#: from the measured full-scale profile (DESIGN.md section 6: physical
-#: dominates, synthesis and packing follow, routing is cheap).  Only the
-#: *ordering* of ready tasks depends on these; results never do.
-STAGE_WEIGHTS: Dict[str, float] = {
-    "synthesis": 3.0,
-    "physical": 6.0,
-    "route_a": 1.0,
-    "packing": 2.0,
-    "route_b": 1.0,
-}
+
+def _heights() -> Dict[str, int]:
+    """Each stage's height: the longest chain of stages from it to the
+    end of the pipeline, itself included (synthesis 4 ... route_b 1)."""
+    height: Dict[str, int] = {}
+    for stage in reversed(PIPELINE):
+        height[stage.name] = 1 + max(
+            (height[s.name] for s in PIPELINE if stage.name in s.inputs),
+            default=0,
+        )
+    return height
+
+
+#: Stage name -> height, the pool's dispatch priority.  Only the *order*
+#: of ready tasks depends on it; results never do.
+HEIGHTS = _heights()
 
 
 class FlowCancelled(RuntimeError):
@@ -163,7 +174,6 @@ class _Task:
     deps: Set[int] = field(default_factory=set)
     dependents: List[int] = field(default_factory=list)
     cells: List[Cell] = field(default_factory=list)  # all attached cells
-    priority: float = 0.0
     #: pending -> running -> done | failed | skipped
     state: str = "pending"
     waiting: int = 0              # unfinished dependency count
@@ -188,10 +198,7 @@ def build_task_graph(
     Pure data transformation (no I/O) so tests can drive it directly:
     nodes dedup on (stage, key) — a later cell whose stage resolves to
     an already-claimed key attaches to the existing node.  Dependency
-    edges mirror :data:`repro.flow.flow.STAGE_INPUTS`; priorities are
-    critical-path-first (a node's priority is its own weight plus the
-    heaviest path below it), tie-broken by task id so the ready order
-    is deterministic.
+    edges mirror each stage record's ``inputs``.
     """
     tasks: List[_Task] = []
     by_key: Dict[Tuple[str, str], int] = {}
@@ -207,21 +214,22 @@ def build_task_graph(
             tid = len(tasks)
             task = _Task(tid=tid, cell=cell, stage=stage, key=key)
             task.cells.append(cell)
-            for parent in STAGE_INPUTS[stage]:
+            for parent in STAGE_RECORDS[stage].inputs:
                 task.deps.add(mine[parent])
                 tasks[mine[parent]].dependents.append(tid)
             task.waiting = len(task.deps)
             tasks.append(task)
             by_key[(stage, key)] = tid
             mine[stage] = tid
-    # Critical-path priorities: dependents always carry larger ids (a
-    # node's deps exist before it), so one reverse sweep suffices.
-    for task in reversed(tasks):
-        below = max(
-            (tasks[d].priority for d in task.dependents), default=0.0
-        )
-        task.priority = STAGE_WEIGHTS.get(task.stage, 1.0) + below
     return tasks
+
+
+def ready_order(task: _Task, jobs: int) -> Tuple[int, ...]:
+    """``task``'s place in the ready heap, its task id last: task-id
+    order in process, the greatest height first on the pool."""
+    if jobs <= 1:
+        return (task.tid,)
+    return (-HEIGHTS[task.stage], task.tid)
 
 
 # ----------------------------------------------------------------------
@@ -265,7 +273,9 @@ def _run_stage(
     blob = None
     if cached is None and artifact is not None:
         try:
-            blob = pickle.dumps(artifact, pickle.HIGHEST_PROTOCOL)
+            with _obs.span("sched.pickle", stage=stage) as span:
+                blob = pickle.dumps(artifact, pickle.HIGHEST_PROTOCOL)
+                span.set(bytes=len(blob))
         except Exception as err:  # an artifact that cannot be pickled
             exc = exc or err
     return blob, elapsed, exc
@@ -481,12 +491,7 @@ def _dispatch(
     artifacts: Dict[int, object] = {}
     pickles: Dict[int, bytes] = {}
 
-    def order(task: _Task) -> float:
-        """In process the heap pops in task-id order; the pool pops the
-        critical path first."""
-        return task.tid if jobs <= 1 else -task.priority
-
-    ready = [(order(t), t.tid) for t in tasks if t.waiting == 0]
+    ready = [ready_order(t, jobs) for t in tasks if t.waiting == 0]
     heapq.heapify(ready)
     last_reader = {t.cell[0]: t for t in tasks if t.stage == "synthesis"}
     workers = max(1, min(jobs, len(tasks)))
@@ -525,7 +530,7 @@ def _dispatch(
             dependent = tasks[did]
             dependent.waiting -= 1
             if dependent.waiting == 0:
-                heapq.heappush(ready, (order(dependent), did))
+                heapq.heappush(ready, ready_order(dependent, jobs))
         if progress is not None:
             progress(task.stage, task.hit, elapsed)
 
@@ -544,7 +549,7 @@ def _dispatch(
         if last_reader[design] is task:
             del designs[design]
         upstream, inputs = {}, {}
-        for parent in STAGE_INPUTS[task.stage]:
+        for parent in STAGE_RECORDS[task.stage].inputs:
             up = cell_tasks[task.cell][parent]
             upstream[parent] = artifacts[up.tid]
             inputs[parent] = pickles.get(up.tid)
@@ -557,13 +562,17 @@ def _dispatch(
                 task.stage, task.cell, options, upstream, netlist, artifact,
             )
             if computed is not None:
-                artifact, blob = _loads(computed, freeze=False), computed
+                with _obs.span(
+                    "sched.load", stage=task.stage, bytes=len(computed)
+                ):
+                    artifact = _loads(computed, freeze=False)
+                blob = computed
             finish(task, artifact, blob, read + elapsed, exc=exc)
         else:
             _obs.point(
                 "sched.dispatch", task=task.tid, stage=task.stage,
                 design=task.cell[0], arch=task.cell[1],
-                priority=task.priority,
+                height=HEIGHTS[task.stage],
             )
             submit(task.tid, (
                 _pool_task, task.stage, task.cell, options, inputs, netlist,
@@ -645,7 +654,7 @@ def _dispatch(
                 raise _cancelled(tasks)
             running = sum(not future.done() for future in inflight)
             if ready and running < workers:
-                start(tasks[heapq.heappop(ready)[1]])
+                start(tasks[heapq.heappop(ready)[-1]])
                 continue
             # A worker that finished gets its next task before the parent
             # stores what it returned.

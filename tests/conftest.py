@@ -11,15 +11,17 @@ from repro.netlist import NetlistBuilder
 
 @pytest.fixture(scope="session", autouse=True)
 def _isolated_stage_cache(tmp_path_factory):
-    """Point the flow stage cache at a per-session temp dir.
+    """Point the flow stage cache at a per-session temp dir, always.
 
     Keeps test runs from reading or polluting the developer's
     ~/.cache/repro (fuzz tests alone would fill it with junk entries).
+    A ``REPRO_CACHE_DIR`` the caller set is overridden too: stage keys
+    do not cover the code, so a warm cache could hand the tests results
+    that older code computed.
     """
     import os
 
-    if "REPRO_CACHE_DIR" not in os.environ:
-        os.environ["REPRO_CACHE_DIR"] = str(tmp_path_factory.mktemp("repro-cache"))
+    os.environ["REPRO_CACHE_DIR"] = str(tmp_path_factory.mktemp("repro-cache"))
     yield
 
 

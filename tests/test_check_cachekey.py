@@ -22,8 +22,8 @@ def rules_of(findings):
     return sorted(f.rule_id for f in findings)
 
 
-# A self-contained two-stage flow: compute_stage dispatches each stage
-# to a pure function of its options slice.
+# A self-contained two-stage flow: each stage record names a pure
+# function of its options slice as its compute function.
 CLEAN = '''
 def _run_alpha(options):
     return options.width * 2
@@ -33,12 +33,16 @@ def _run_beta(artifact, options):
     return artifact + options.depth
 
 
-def compute_stage(stage, options, artifacts):
-    if stage == "alpha":
-        return _run_alpha(options)
-    if stage == "beta":
-        return _run_beta(artifacts["alpha"], options)
-    raise ValueError(stage)
+def _audit(run, *artifacts):
+    run("netlist", netlist=artifacts[-1])
+
+
+PIPELINE = (
+    Stage("alpha", inputs=(), options=AlphaOptions,
+          compute=_run_alpha, audit=_audit),
+    Stage("beta", inputs=("alpha",), options=BetaOptions,
+          compute=_run_beta, audit=_audit),
+)
 '''
 
 
@@ -121,8 +125,8 @@ class TestHeadIsCoherent:
 
 
 class TestReachesStageCode:
-    """CK003 reports nothing without compute_stage anchors, so a
-    refactor of the dispatch could silence it unnoticed."""
+    """CK003 reports nothing without ``Stage(...)`` record anchors, so
+    a refactor of the pipeline records could silence it unnoticed."""
 
     def test_reachable_set_covers_stage_kernels(self):
         reachable = {

@@ -10,9 +10,10 @@ so a newly added field is covered automatically:
 * ``utilization`` (dead config before this audit existed) genuinely
   reaches flow-a die sizing and the physical stage key;
 * the serve-side submittable list stays derived, not hand-listed;
-* the per-stage option slices and PERF_KNOBS partition the fields, a
-  stage cannot read outside its slice, and the keys built from the
-  slices are byte-identical to the pinned digests.
+* the stage records' option slices and PERF_KNOBS partition the
+  fields, a stage cannot read outside its slice, each key's parent (the
+  stage's last input) pins every other input, and the keys built from
+  the slices are byte-identical to the pinned digests.
 """
 
 import hashlib
@@ -23,15 +24,16 @@ import pytest
 
 from conftest import make_ripple_design
 
-from repro.flow import flow as flow_module
 from repro.flow.cache import CACHE_FORMAT_VERSION, StageCache
 from repro.flow.flow import (
+    PIPELINE,
+    STAGE_RECORDS,
     STAGES,
     compute_stage,
     request_key,
     stage_keys,
 )
-from repro.flow.options import PERF_KNOBS, STAGE_OPTIONS, FlowOptions
+from repro.flow.options import PERF_KNOBS, FlowOptions
 from repro.place.grid import grid_for_netlist
 from repro.serve.jobs import (
     _SUBMITTABLE_OPTIONS,
@@ -228,20 +230,36 @@ class TestStageSlices:
             assert digest == pinned[name], name
 
     def test_slices_and_knobs_partition_the_fields(self):
-        assert list(STAGE_OPTIONS) == list(STAGES)
         sliced = {
             f.name
-            for cls in STAGE_OPTIONS.values()
-            for f in dataclass_fields(cls)
+            for stage in PIPELINE
+            for f in dataclass_fields(stage.options)
         }
         assert not sliced & PERF_KNOBS
         assert sliced | PERF_KNOBS == set(FIELD_NAMES)
+
+    def test_key_parent_pins_every_input(self):
+        """A key chains on the stage's last input only; that input's
+        ancestors must include every other input, or a change to one
+        could be served a stale entry."""
+        ancestors = {}
+        for stage in PIPELINE:
+            ancestors[stage.name] = set(stage.inputs).union(
+                *(ancestors[name] for name in stage.inputs)
+            )
+            if stage.key is None:
+                *others, parent = stage.inputs
+                assert set(others) <= ancestors[parent], stage.name
+        assert [s.name for s in PIPELINE if s.key is not None] == [STAGES[0]]
 
     def test_stage_reading_outside_its_slice_raises(self, monkeypatch):
         def reads_seed(synthesis, packed, options):
             return options.seed
 
-        monkeypatch.setattr(flow_module, "_flow_b_result", reads_seed)
+        monkeypatch.setitem(
+            STAGE_RECORDS, "route_b",
+            replace(STAGE_RECORDS["route_b"], compute=reads_seed),
+        )
         with pytest.raises(AttributeError, match="seed"):
             compute_stage("route_b", FlowOptions(), {
                 "synthesis": None, "packing": None,

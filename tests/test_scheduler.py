@@ -3,8 +3,9 @@ that runs flow stages.
 
 Five contracts:
 
-* **Structure** — the task DAG mirrors ``STAGE_INPUTS`` exactly, dedups
-  nodes on (stage, key), and orders ready tasks critical-path-first.
+* **Structure** — the task DAG mirrors the stage records' ``inputs``
+  exactly, dedups nodes on (stage, key), and the pool orders ready tasks
+  critical-path-first.
 * **Determinism** — the in-process executor (``jobs=1``) and the worker
   pool produce bit-identical tables at any ``--jobs``; ``use_cache=False``
   and ``REPRO_NO_CACHE`` persist nothing, and no artifact outlives its
@@ -39,14 +40,15 @@ import pytest
 
 from repro.flow.cache import StageCache, collect_garbage
 from repro.flow.experiments import Matrix, build_design
-from repro.flow.flow import STAGE_INPUTS, STAGES, architecture_of, stage_keys
+from repro.flow.flow import PIPELINE, STAGES, architecture_of, stage_keys
 from repro.flow.options import FlowOptions
 from repro.flow.parallel import run_cells
 from repro.flow.scheduler import (
-    STAGE_WEIGHTS,
+    HEIGHTS,
     FlowCancelled,
     StageFailure,
     build_task_graph,
+    ready_order,
     run_stage_graph,
 )
 from repro.pack.quadrisection import SlotAssignment
@@ -70,6 +72,23 @@ def _entries(root):
     }
 
 
+def _patch_compute(monkeypatch, stage, wrap):
+    """Make ``stage``'s record compute through ``wrap(real compute)``;
+    pool workers are forked after the patch, so they inherit it."""
+    from repro.flow import flow as flow_mod
+
+    record = flow_mod.STAGE_RECORDS[stage]
+    monkeypatch.setitem(
+        flow_mod.STAGE_RECORDS, stage,
+        replace(record, compute=wrap(record.compute)),
+    )
+
+
+#: The full 8-cell matrix, cell-major: tid = 5 * cell + stage index.
+MATRIX = [(d, a) for d in ("alu", "firewire", "fpu", "netswitch")
+          for a in ("granular", "lut")]
+
+
 def _keys_for(cells, tag=""):
     """Synthetic per-cell stage-key chains (unique unless cells repeat)."""
     return {
@@ -80,9 +99,7 @@ def _keys_for(cells, tag=""):
 
 class TestTaskGraph:
     def test_full_matrix_is_forty_tasks(self):
-        cells = [(d, a) for d in ("alu", "firewire", "fpu", "netswitch")
-                 for a in ("granular", "lut")]
-        tasks = build_task_graph(cells, _keys_for(cells))
+        tasks = build_task_graph(MATRIX, _keys_for(MATRIX))
         assert len(tasks) == 40
         assert all(t.state == "pending" for t in tasks)
 
@@ -90,12 +107,15 @@ class TestTaskGraph:
         cells = CELLS[:1]
         tasks = build_task_graph(cells, _keys_for(cells))
         by_stage = {t.stage: t for t in tasks}
-        for stage, parents in STAGE_INPUTS.items():
-            assert by_stage[stage].deps == {
-                by_stage[p].tid for p in parents
+        for stage in PIPELINE:
+            assert by_stage[stage.name].deps == {
+                by_stage[p].tid for p in stage.inputs
             }
-        for stage in STAGES:
-            assert by_stage[stage].waiting == len(STAGE_INPUTS[stage])
+            assert by_stage[stage.name].waiting == len(stage.inputs)
+
+    def test_inputs_precede_their_stage(self):
+        for index, stage in enumerate(PIPELINE):
+            assert set(stage.inputs) <= set(STAGES[:index]), stage.name
 
     def test_duplicate_cells_collapse(self):
         cells = [("alu", "granular"), ("alu", "granular2")]
@@ -106,27 +126,34 @@ class TestTaskGraph:
         assert len(tasks) == len(STAGES)
         assert all(t.cells == cells for t in tasks)
 
-    def test_priorities_are_critical_path_first(self):
-        cells = CELLS[:1]
-        tasks = build_task_graph(cells, _keys_for(cells))
-        prio = {t.stage: t.priority for t in tasks}
-        # Leaves carry their own weight; interior nodes add the heaviest
-        # downstream path.
-        assert prio["route_b"] == STAGE_WEIGHTS["route_b"]
-        assert prio["route_a"] == STAGE_WEIGHTS["route_a"]
-        assert prio["packing"] == pytest.approx(
-            STAGE_WEIGHTS["packing"] + prio["route_b"]
-        )
-        assert prio["physical"] == pytest.approx(
-            STAGE_WEIGHTS["physical"] + max(prio["route_a"], prio["packing"])
-        )
-        assert prio["synthesis"] == pytest.approx(
-            STAGE_WEIGHTS["synthesis"] + prio["physical"]
-        )
-        assert (
-            prio["synthesis"] > prio["physical"] > prio["packing"]
-            > prio["route_a"]
-        )
+    def test_pool_order_of_the_full_matrix_is_pinned(self):
+        """Every synthesis, then every physical stage, then packing,
+        then the routes, each in task-id order: the sequence the earlier
+        hand-set stage weights gave, with and without a duplicate cell.
+        In process the order is the task ids."""
+        assert HEIGHTS == {
+            "synthesis": 4, "physical": 3, "packing": 2,
+            "route_a": 1, "route_b": 1,
+        }
+
+        def order(tasks, jobs):
+            ranked = sorted(tasks, key=lambda t: ready_order(t, jobs))
+            return [t.tid for t in ranked]
+
+        tasks = build_task_graph(MATRIX, _keys_for(MATRIX))
+        assert order(tasks, 1) == list(range(40))
+        assert order(tasks, 2) == [
+            0, 5, 10, 15, 20, 25, 30, 35, 1, 6, 11, 16, 21, 26, 31, 36,
+            3, 8, 13, 18, 23, 28, 33, 38, 2, 4, 7, 9, 12, 14, 17, 19,
+            22, 24, 27, 29, 32, 34, 37, 39,
+        ]
+        keys = _keys_for(MATRIX)
+        keys[MATRIX[3]] = keys[MATRIX[1]]
+        assert order(build_task_graph(MATRIX, keys), 2) == [
+            0, 5, 10, 15, 20, 25, 30, 1, 6, 11, 16, 21, 26, 31,
+            3, 8, 13, 18, 23, 28, 33, 2, 4, 7, 9, 12, 14, 17, 19,
+            22, 24, 27, 29, 32, 34,
+        ]
 
 
 class TestBitIdenticalSchedules:
@@ -278,18 +305,16 @@ class TestParentOwnsCache:
         assert _table_text(runs) == _table_text(undisturbed)
 
     @staticmethod
-    def _flag_start(monkeypatch, name, marker):
-        """Touch ``marker`` when the flow function ``name`` starts; pool
-        workers are forked after the patch, so they inherit it."""
-        from repro.flow import flow as flow_mod
+    def _flag_start(monkeypatch, stage, marker):
+        """Touch ``marker`` when ``stage``'s compute function starts."""
 
-        real = getattr(flow_mod, name)
+        def wrap(real):
+            def flagged(*args):
+                marker.touch()
+                return real(*args)
+            return flagged
 
-        def flagged(*args):
-            marker.touch()
-            return real(*args)
-
-        monkeypatch.setattr(flow_mod, name, flagged)
+        _patch_compute(monkeypatch, stage, wrap)
 
     def test_interrupt_stores_what_is_in_flight(self, tmp_path, monkeypatch):
         """The parent stores what the running task returns before a
@@ -297,7 +322,7 @@ class TestParentOwnsCache:
         cache = tmp_path / "cache"
         monkeypatch.setenv("REPRO_CACHE_DIR", str(cache))
         started = tmp_path / "synthesis-started"
-        self._flag_start(monkeypatch, "synthesize", started)
+        self._flag_start(monkeypatch, "synthesis", started)
 
         def interrupt_once_started():
             if started.exists():
@@ -317,7 +342,7 @@ class TestParentOwnsCache:
         it returns and ends the run normally."""
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
         started = tmp_path / "route_b-started"
-        self._flag_start(monkeypatch, "_flow_b_result", started)
+        self._flag_start(monkeypatch, "route_b", started)
         runs = run_cells(CELLS[:1], SCALE, FAST, jobs=2,
                          cancel=started.exists)
         assert started.exists()
@@ -325,22 +350,17 @@ class TestParentOwnsCache:
 
 
 def _inject_lut_packing_fault(monkeypatch):
-    """Make the packing stage raise for the LUT architecture only.
+    """Make the packing stage raise for the LUT architecture only."""
 
-    Patches the module-global the stage registry dispatches through;
-    pool workers are forked after the patch, so they inherit it.
-    """
-    from repro.flow import flow as flow_mod
+    def wrap(real):
+        def boom(synthesis, physical, options):
+            # The packing slice has no ``arch``; the artifact carries it.
+            if synthesis.arch.name == "lut":
+                raise RuntimeError("injected packing fault")
+            return real(synthesis, physical, options)
+        return boom
 
-    real = flow_mod._pack_stage
-
-    def boom(synthesis, physical, options):
-        # The packing slice has no ``arch``; the artifact carries it.
-        if synthesis.arch.name == "lut":
-            raise RuntimeError("injected packing fault")
-        return real(synthesis, physical, options)
-
-    monkeypatch.setattr(flow_mod, "_pack_stage", boom)
+    _patch_compute(monkeypatch, "packing", wrap)
 
 
 def _inject_unpicklable_route_a(monkeypatch):
@@ -440,28 +460,29 @@ class TestKilledWorker:
     and every other cell still completes."""
 
     def test_killed_worker_fails_only_its_cell(self, tmp_path, monkeypatch):
-        from repro.flow import flow as flow_mod
-
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "clean"))
         clean = run_cells(CELLS[:1], SCALE, FAST, jobs=2)[CELLS[0]]
 
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "faulty"))
         release = tmp_path / "release"
-        real = flow_mod._pack_stage
         parent = os.getpid()
 
-        def die(synthesis, physical, options):
-            # Forked workers inherit the patch.  The LUT cell's packing
-            # worker exits once every other task has been stored, so no
-            # task of the granular cell is on the pool when it dies.
-            if synthesis.arch.name == "lut" and os.getpid() != parent:
-                deadline = time.monotonic() + 60
-                while not release.exists() and time.monotonic() < deadline:
-                    time.sleep(0.01)
-                os._exit(9)
-            return real(synthesis, physical, options)
+        def wrap(real):
+            def die(synthesis, physical, options):
+                # Forked workers inherit the patch.  The LUT cell's
+                # packing worker exits once every other task has been
+                # stored, so no task of the granular cell is on the pool
+                # when it dies.
+                if synthesis.arch.name == "lut" and os.getpid() != parent:
+                    deadline = time.monotonic() + 60
+                    while (not release.exists()
+                           and time.monotonic() < deadline):
+                        time.sleep(0.01)
+                    os._exit(9)
+                return real(synthesis, physical, options)
+            return die
 
-        monkeypatch.setattr(flow_mod, "_pack_stage", die)
+        _patch_compute(monkeypatch, "packing", wrap)
         stored = []
 
         def progress(stage, cache_hit, seconds):
@@ -535,24 +556,23 @@ class TestKilledWorker:
         """The LUT cell's packing worker dies once: every task that was
         on its pool reruns on a fresh pool, and the run ends with the
         tables and cache entries of a clean run."""
-        from repro.flow import flow as flow_mod
-
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "clean"))
         clean = run_cells(CELLS, SCALE, FAST, jobs=2)
 
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "faulty"))
         died = tmp_path / "died"
-        real = flow_mod._pack_stage
         parent = os.getpid()
 
-        def die_once(synthesis, physical, options):
-            if (synthesis.arch.name == "lut" and os.getpid() != parent
-                    and not died.exists()):
-                died.touch()
-                os._exit(9)
-            return real(synthesis, physical, options)
+        def wrap(real):
+            def die_once(synthesis, physical, options):
+                if (synthesis.arch.name == "lut" and os.getpid() != parent
+                        and not died.exists()):
+                    died.touch()
+                    os._exit(9)
+                return real(synthesis, physical, options)
+            return die_once
 
-        monkeypatch.setattr(flow_mod, "_pack_stage", die_once)
+        _patch_compute(monkeypatch, "packing", wrap)
         runs = run_cells(CELLS, SCALE, FAST, jobs=2)
         assert died.exists()
         assert _table_text(runs) == _table_text(clean)
@@ -625,9 +645,24 @@ class TestStageModeJournal:
         monkeypatch.setenv("REPRO_JOURNAL_DIR", str(tmp_path / "journals-1"))
         run_cells(CELLS, SCALE, replace(FAST, observe=True), jobs=1)
         (inline,) = (tmp_path / "journals-1").glob("*.jsonl")
+        inline_events = journal.read_journal(inline)
         pooled = work_counts(events)
         assert pooled["sa.evaluated"] > 0 and pooled["synth.cuts"] > 0
-        assert pooled == work_counts(journal.read_journal(inline))
+        assert pooled == work_counts(inline_events)
+
+        # Each artifact's pickle is a span carrying its size, the same
+        # at both job counts; at jobs=1 so is its reload.
+        def sized(recorded, name):
+            return sorted(
+                (e["attrs"]["stage"], e["attrs"]["bytes"])
+                for e in recorded if e["ev"] == "span" and e["name"] == name
+            )
+
+        pickled = sized(events, "sched.pickle")
+        assert len(pickled) == len(CELLS) * len(STAGES)
+        assert sized(events, "sched.load") == []
+        assert sized(inline_events, "sched.pickle") == pickled
+        assert sized(inline_events, "sched.load") == pickled
 
     def test_gantt_on_sched_free_journal_hints(self):
         from repro.obs import export

@@ -40,7 +40,7 @@ import pytest
 
 from repro.flow.cache import NullCache
 from repro.flow.experiments import build_design, default_options
-from repro.flow.flow import run_design, synthesize
+from repro.flow.flow import compute_stage, run_design
 from repro.obs import core as obs
 from repro.obs import export
 
@@ -123,7 +123,7 @@ def _observe(design: str, arch: str, scale: float, scope: str) -> Dict[str, int]
     obs.begin()
     try:
         if scope == "synthesis":
-            synthesize(netlist, OPTIONS.with_arch(arch).stage_slice("synthesis"))
+            compute_stage("synthesis", OPTIONS.with_arch(arch), {}, netlist)
         else:
             run_design(netlist, arch, OPTIONS, cache=NullCache())
     finally:
